@@ -448,6 +448,8 @@ def rolling_forward(m: DspnModel, slices: np.ndarray,
                     keep_values: bool = False):
     """Evaluate a (batch, T, n) block of equal-length sequences slice by
     slice.  Returns (root log-likelihoods, per-layer forward values or None).
+    Kept values are (bottom, template, top); the template's are stacked as
+    (n_nodes, T - 1, batch) so that all slices can be read as one block.
 
     The interface state after each layer is the vector of that layer's root
     values, read through the slot-to-root bijection.
@@ -461,13 +463,14 @@ def rolling_forward(m: DspnModel, slices: np.ndarray,
     f = list(m.f_map)
     bottom_vals = forward(m.bottom.graph, slices[:, 0, :])
     state = bottom_vals[[m.bottom.graph.roots[f[s]] for s in range(m.k)]]
-    template_vals = [] if keep_values else None
+    template_vals = np.empty((len(m.template.graph), T - 1, batch)) \
+        if keep_values else None
     t_root_rows = [m.template.graph.roots[f[s]] for s in range(m.k)]
     for t in range(1, T):
         vals = forward(m.template.graph, slices[:, t, :], state)
         state = vals[t_root_rows]
         if keep_values:
-            template_vals.append(vals)
+            template_vals[:, t - 1] = vals
     top_vals = forward(m.top.graph, np.full((batch, m.top.graph.n_vars), -1), state)
     loglik = top_vals[m.top.graph.roots[0]]
     if keep_values:

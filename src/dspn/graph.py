@@ -5,13 +5,15 @@ indicators (one per variable/value pair) or interface inputs (placeholders
 whose log-values are injected at evaluation time, used to compose per-slice
 circuits into sequence models).  Internal nodes are weighted sums and
 products.  All evaluation happens in log space; weights are stored in the
-linear domain with a cached log copy.
+linear domain on the nodes, and in the log domain in the graph's compiled
+layers (see :class:`CompiledGraph`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import IntEnum
+from itertools import chain
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -147,10 +149,7 @@ class SpnGraph:
         if validate:
             self._check_structure()
         self.topo_order = self._toposort()
-        self._log_weights: list[np.ndarray | None] = [None] * len(self.nodes)
-        for i, nd in enumerate(self.nodes):
-            if nd.kind == NodeKind.SUM:
-                self._refresh_log_weights(i)
+        self._compiled: CompiledGraph | None = None
 
     # -- construction checks ------------------------------------------------
 
@@ -219,10 +218,6 @@ class SpnGraph:
 
     # -- weights ------------------------------------------------------------
 
-    def _refresh_log_weights(self, i: int) -> None:
-        with np.errstate(divide="ignore"):
-            self._log_weights[i] = np.log(np.asarray(self.nodes[i].weights, dtype=float))
-
     def set_weights(self, i: int, weights: np.ndarray) -> None:
         nd = self.nodes[i]
         if nd.kind != NodeKind.SUM:
@@ -231,12 +226,15 @@ class SpnGraph:
         if w.shape != (len(nd.children),):
             raise GraphError(f"node {i}: weight vector has wrong length")
         nd.weights = w
-        self._refresh_log_weights(i)
+        if self._compiled is not None:
+            self._compiled.refresh_weights(i, w)
 
-    def log_weights(self, i: int) -> np.ndarray:
-        lw = self._log_weights[i]
-        assert lw is not None
-        return lw
+    def compiled(self) -> CompiledGraph:
+        """The layered index arrays the kernels run on, built on first use
+        and kept for the graph's lifetime (its topology never changes)."""
+        if self._compiled is None:
+            self._compiled = CompiledGraph(self)
+        return self._compiled
 
     def weights_normalized(self, tol: float = WEIGHT_TOL) -> bool:
         return all(abs(float(np.sum(nd.weights)) - 1.0) <= tol
@@ -254,9 +252,6 @@ class SpnGraph:
     def __len__(self) -> int:
         return len(self.nodes)
 
-    def n_edges(self) -> int:
-        return sum(len(nd.children) for nd in self.nodes)
-
     def sum_ids(self) -> list[int]:
         return [i for i, nd in enumerate(self.nodes) if nd.kind == NodeKind.SUM]
 
@@ -268,9 +263,6 @@ class SpnGraph:
 
     def input_ids(self) -> list[int]:
         return [i for i, nd in enumerate(self.nodes) if nd.kind == NodeKind.INPUT]
-
-    def input_id_by_slot(self) -> dict[int, int]:
-        return {self.nodes[i].slot: i for i in self.input_ids()}
 
     def descendants(self, i: int) -> set[int]:
         seen: set[int] = set()
@@ -330,6 +322,148 @@ class SpnGraph:
                 nodes.append(Node(kind, slot=rec["slot"]))
         return cls(nodes, doc["roots"], doc["n_vars"], doc["arities"],
                    doc.get("n_interface_inputs", 0))
+
+
+@dataclass(frozen=True)
+class Layer:
+    """Internal nodes of one kind, depth and child count, as index arrays.
+
+    ``children`` lists each node's ``width`` children in turn, so a gather
+    of their rows reshapes to (nodes, width, batch).  A sum layer's
+    log-weights are the ``weights`` slice of the flat vector, parallel to
+    ``children``.
+    """
+
+    kind: NodeKind
+    ids: np.ndarray
+    children: np.ndarray
+    width: int
+    weights: slice
+
+
+@dataclass(frozen=True)
+class ParentGroup:
+    """Every edge into the nodes of one depth and in-degree, sorted by
+    child: the unit of the backward scatter.  ``edges`` is this group's
+    slice of the edge order the backward pass works in; each node has
+    ``width`` consecutive edges there."""
+
+    nodes: np.ndarray
+    parents: np.ndarray
+    edges: slice
+    width: int
+    has_root: bool  # some node is also a root and carries a seed
+
+
+def _runs(keys: np.ndarray):
+    """(start, stop) of every run of equal values in ``keys``, as ints."""
+    bounds = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1], True]).tolist() \
+        if len(keys) else [0]
+    return zip(bounds[:-1], bounds[1:])
+
+
+class CompiledGraph:
+    """A graph flattened into int arrays for the layered kernels.
+
+    Internal nodes are grouped into layers by depth (the longest path down
+    to a leaf), kind and child count, so every layer reads only rows
+    written by leaves or earlier layers and reduces a rectangular block.
+    Sum weights live in one flat log-weight vector, parallel to the sum
+    edges in layer order, which :meth:`SpnGraph.set_weights` refreshes.
+    Built by :meth:`SpnGraph.compiled` in O((n + e) log n).
+    """
+
+    def __init__(self, g: SpnGraph):
+        nodes = g.nodes
+        n = len(nodes)
+        kind = np.fromiter((nd.kind for nd in nodes), np.int64, n)
+        n_children = np.fromiter((len(nd.children) for nd in nodes), np.int64, n)
+        depth_list = [0] * n
+        for i in g.topo_order:
+            ch = nodes[i].children
+            if ch:
+                depth_list[i] = 1 + max(depth_list[c] for c in ch)
+        depth = np.asarray(depth_list, dtype=np.int64)
+
+        self.indicator_ids = np.flatnonzero(kind == NodeKind.INDICATOR)
+        self.indicator_var = np.array([nodes[i].var for i in self.indicator_ids],
+                                      dtype=np.int64)
+        self.indicator_value = np.array(
+            [nodes[i].value for i in self.indicator_ids], dtype=np.int64)[:, None]
+        self.input_ids = np.flatnonzero(kind == NodeKind.INPUT)
+        self.input_slot = np.array([nodes[i].slot for i in self.input_ids],
+                                   dtype=np.int64)
+
+        # -- forward layers: internal nodes sorted by (depth, kind, width) --
+        internal = np.flatnonzero((kind == NodeKind.SUM) | (kind == NodeKind.PRODUCT))
+        if (n_children[internal] == 0).any():
+            raise GraphError("internal node without children")
+        order = internal[np.lexsort((n_children[internal], kind[internal],
+                                     depth[internal]))]
+        counts = n_children[order]
+        children = np.fromiter(
+            chain.from_iterable(nodes[i].children for i in order.tolist()),
+            np.int64, int(counts.sum()))
+        parents = np.repeat(order, counts)
+        edge_start = np.r_[0, np.cumsum(counts)].tolist()
+        is_sum = kind[order] == NodeKind.SUM
+        sum_edge = np.repeat(is_sum, counts)
+        # sum edges before each node: where its weights start
+        weight_start = np.r_[0, np.cumsum(np.where(is_sum, counts, 0))]
+        self.layers: list[Layer] = []
+        layer_key = (depth[order] * 2 + kind[order]) * (int(counts.max(initial=0)) + 1) \
+            + counts
+        for a, b in _runs(layer_key):
+            ea, eb = edge_start[a], edge_start[b]
+            w0 = int(weight_start[a])
+            self.layers.append(Layer(
+                NodeKind(kind[order[a]]), order[a:b], children[ea:eb],
+                int(counts[a]), slice(w0, w0 + eb - ea) if is_sum[a] else slice(0, 0)))
+
+        self.sum_ids = order[is_sum].tolist()
+        self.sum_parents = parents[sum_edge]
+        self.sum_children = children[sum_edge]
+        self.sum_bounds = weight_start[1:][is_sum][:-1]
+        self._weight_start = dict(zip(self.sum_ids, weight_start[:-1][is_sum].tolist()))
+        weights = [np.asarray(nodes[i].weights, dtype=float) for i in self.sum_ids]
+        with np.errstate(divide="ignore"):
+            self.log_weights = np.log(np.concatenate(weights)) if weights \
+                else np.empty(0)
+        prod_counts = counts[~is_sum]
+        self.product_parents = parents[~sum_edge]
+        self.product_children = children[~sum_edge]
+        self.product_offsets = np.cumsum(prod_counts) - prod_counts
+        self.product_seg = np.repeat(np.arange(len(prod_counts)), prod_counts)
+
+        # -- backward groups: edges sorted by child depth (deepest first),
+        # in-degree and child.  The unsorted order is every sum edge, then
+        # every product edge.
+        e_child = np.r_[self.sum_children, self.product_children]
+        e_parent = np.r_[self.sum_parents, self.product_parents]
+        in_degree = np.bincount(e_child, minlength=n)
+        by_child = np.lexsort((e_child, in_degree[e_child], -depth[e_child]))
+        where = np.empty(len(by_child), np.int64)
+        where[by_child] = np.arange(len(by_child))
+        self.n_edges = len(by_child)
+        self.sum_edge_pos = where[:len(self.sum_children)]
+        self.product_edge_pos = where[len(self.sum_children):]
+        e_child, e_parent = e_child[by_child], e_parent[by_child]
+        roots = np.asarray(g.roots, dtype=np.int64)
+        self.roots_unique = len(np.unique(roots)) == len(roots)
+        is_root = np.isin(e_child, roots)
+        group_key = depth[e_child] * (int(in_degree.max(initial=0)) + 1) \
+            + in_degree[e_child]
+        self.groups: list[ParentGroup] = []
+        for a, b in _runs(group_key):
+            width = int(in_degree[e_child[a]])
+            self.groups.append(ParentGroup(
+                e_child[a:b:width], e_parent[a:b], slice(a, b), width,
+                bool(is_root[a:b].any())))
+
+    def refresh_weights(self, i: int, weights: np.ndarray) -> None:
+        start = self._weight_start[i]
+        with np.errstate(divide="ignore"):
+            self.log_weights[start:start + len(weights)] = np.log(weights)
 
 
 def compute_scopes(g: SpnGraph,

@@ -1,13 +1,30 @@
 """Exact log-space evaluation and differentiation of sum-product graphs.
 
-Every pass is a single sweep over the cached topological order, so cost is
-linear in nodes + edges.  Evidence is vectorized: the kernels operate on a
-batch of evidence rows at once, which is what makes training and scoring
-whole datasets cheap in Python.
+The kernels run on the graph's compiled layers (:class:`CompiledGraph`):
+internal nodes grouped by depth, kind and child count into int index
+arrays, plus one flat log-weight vector.  Each pass costs a few numpy calls
+per layer, not per node, and touches every node and edge once, so cost
+stays linear in nodes + edges while Python dispatch grows with depth only.
+Evidence is vectorized: every pass handles a batch of evidence rows at once.
+
+* ``forward``: indicators are one gather from the evidence.  A layer
+  gathers its children's rows, which reshape to (nodes, width, batch); a
+  product layer sums over the width, a sum layer adds its log-weights and
+  takes a max-shifted log-sum-exp over the width.
+* ``backward``: the transposed scatter.  Edge factors (the log-weight, or
+  the product of the other children) are computed for all edges at once;
+  the contributions into the nodes of one depth and in-degree are sorted
+  by child and combined by the same log-sum-exp.
+* ``sum_edge_statistics``: all sum edges in one expression over any
+  number of stacked rows.
+
+Equal-width layers stand in for ``np.add.reduceat`` segments: with numpy
+2.4 on an x86-64 guest, ``reduceat`` along the row axis cost 5-9 ns per
+element against under 1 ns for the reshaped reduction.
 
 Log 0 is represented by ``-inf``, which is absorbing under addition and
-ignored by log-sum-exp; the product-node backward rule is written to keep
-that representation NaN-free.
+ignored by log-sum-exp; the log-sum-exp and the product-node backward rule
+are written to keep that representation NaN-free.
 """
 
 from __future__ import annotations
@@ -15,12 +32,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
-from .graph import InvalidGraph, NodeKind, SpnGraph, check_validity
+from .graph import (CompiledGraph, InvalidGraph, NodeKind, SpnGraph,
+                    check_validity)
 
 LOG_ZERO = -np.inf
 MARGINALIZED = -1
+# Replaces the -inf maximum of an all-zero log-sum-exp, which would give NaN.
+_SHIFT_FLOOR = -np.finfo(float).max
+# Elements per block of rows in the edge-statistics pass (256 KiB).
+_EDGE_BLOCK = 1 << 15
 
 
 class ZeroEvidence(ValueError):
@@ -53,9 +74,6 @@ class Evidence:
             vals[v] = x
         return cls(vals)
 
-    def observed_vars(self) -> list[int]:
-        return [int(v) for v in np.nonzero(self.values != MARGINALIZED)[0]]
-
     def merge(self, other: "Evidence") -> "Evidence":
         both = (self.values != MARGINALIZED) & (other.values != MARGINALIZED)
         if both.any():
@@ -64,35 +82,46 @@ class Evidence:
         return Evidence(np.where(self.values != MARGINALIZED, self.values, other.values))
 
 
+def _logsumexp_rows(x: np.ndarray) -> np.ndarray:
+    """Log-sum-exp of a (nodes, width, batch) block over its width axis,
+    consuming ``x``.  A node whose terms are all ``-inf`` gets a finite
+    shift, so it yields ``-inf`` rather than NaN.  Callers silence the
+    divide warning of log(0)."""
+    shift = np.maximum.reduce(x, axis=1)
+    np.maximum(shift, _SHIFT_FLOOR, out=shift)
+    x -= shift[:, None]
+    np.exp(x, out=x)
+    out = np.add.reduce(x, axis=1)
+    np.log(out, out=out)
+    out += shift
+    return out
+
+
 def forward(g: SpnGraph, ev: np.ndarray,
-            input_logs: np.ndarray | None = None,
-            profile: dict | None = None) -> np.ndarray:
+            input_logs: np.ndarray | None = None) -> np.ndarray:
     """Bottom-up pass. ``ev`` is (batch, n_vars) with -1 for marginalized;
     ``input_logs`` is (n_slots, batch).  Returns (n_nodes, batch) log-values."""
     ev = np.atleast_2d(np.asarray(ev, dtype=np.int64))
-    batch = ev.shape[0]
     if g.n_interface_inputs and input_logs is None:
         raise ValueError("graph has interface inputs but no input values were given")
+    c = g.compiled()
+    batch = ev.shape[0]
     values = np.empty((len(g.nodes), batch))
-    visits = 0
-    for i in g.topo_order:
-        nd = g.nodes[i]
-        visits += 1
-        if nd.kind == NodeKind.INDICATOR:
-            col = ev[:, nd.var]
-            values[i] = np.where((col == MARGINALIZED) | (col == nd.value), 0.0, LOG_ZERO)
-        elif nd.kind == NodeKind.INPUT:
-            values[i] = input_logs[nd.slot]
-        elif nd.kind == NodeKind.PRODUCT:
-            acc = values[nd.children[0]].copy()
-            for c in nd.children[1:]:
-                acc += values[c]
-            values[i] = acc
-        else:  # SUM
-            shifted = values[list(nd.children)] + g.log_weights(i)[:, None]
-            values[i] = logsumexp(shifted, axis=0)
-    if profile is not None:
-        profile["visits"] = visits
+    cols = ev.T[c.indicator_var]
+    values[c.indicator_ids] = np.where(
+        (cols == c.indicator_value) | (cols == MARGINALIZED), 0.0, LOG_ZERO)
+    if len(c.input_ids):
+        values[c.input_ids] = np.asarray(input_logs, dtype=float)[c.input_slot]
+    with np.errstate(divide="ignore"):
+        for layer in c.layers:
+            x = values[layer.children]
+            if layer.kind == NodeKind.SUM:
+                x += c.log_weights[layer.weights, None]
+                if layer.width > 1:
+                    x = _logsumexp_rows(x.reshape(len(layer.ids), layer.width, batch))
+            elif layer.width > 1:
+                x = np.add.reduce(x.reshape(len(layer.ids), layer.width, batch), axis=1)
+            values[layer.ids] = x
     return values
 
 
@@ -144,43 +173,60 @@ def conditional_query(g: SpnGraph, query: Evidence, given: Evidence) -> float:
     return float(np.exp(log_num - log_den))
 
 
+def _product_cofactors(c: CompiledGraph, values: np.ndarray) -> np.ndarray:
+    """For every product edge, the log-product of the parent's *other*
+    children: the parent's value minus the child's, unless ``-inf``
+    children force a recount.  Then a child sees a finite cofactor only if
+    every ``-inf`` sibling is itself."""
+    own = values[c.product_children]
+    total = values[c.product_parents]
+    if not np.isneginf(total).any():
+        total -= own
+        return total
+    neg = np.isneginf(own)
+    n_neg = np.add.reduceat(neg, c.product_offsets, axis=0, dtype=np.intp)
+    finite = np.where(neg, 0.0, own)
+    total = np.add.reduceat(finite, c.product_offsets, axis=0)
+    alone = n_neg[c.product_seg] == neg
+    return np.where(alone, total[c.product_seg] - finite, LOG_ZERO)
+
+
 def backward(g: SpnGraph, values: np.ndarray,
              root_log_grads: np.ndarray | None = None) -> np.ndarray:
     """Top-down pass computing log d(root value)/d(node value).
 
-    ``root_log_grads`` seeds the roots (shape (n_roots, batch)); by default a
-    single root is seeded with log 1 = 0.  Product nodes distribute their
-    derivative times the product of the *other* children's values; the
-    other-product is recovered from the full product except where -inf
-    children force an explicit recount, so no NaN can arise.
+    ``values`` are the forward pass's log-values.  ``root_log_grads`` seeds
+    the roots (shape (n_roots, batch)); by default a single root is seeded
+    with log 1 = 0.  Every edge contributes the parent's derivative times a
+    factor: the weight on a sum edge, the product of the other children's
+    values on a product edge.  The contributions into the nodes of one
+    depth and in-degree are sorted by child and combined by one
+    log-sum-exp, deepest nodes first, so each node is written once, after
+    all of its parents.
     """
     batch = values.shape[1]
     if root_log_grads is None:
         if len(g.roots) != 1:
             raise ValueError("multi-root graphs need explicit root gradients")
         root_log_grads = np.zeros((1, batch))
+    c = g.compiled()
     derivs = np.full((len(g.nodes), batch), LOG_ZERO)
-    for r, seed in zip(g.roots, root_log_grads):
-        derivs[r] = np.logaddexp(derivs[r], seed)
-    for i in reversed(g.topo_order):
-        nd = g.nodes[i]
-        if nd.is_leaf():
-            continue
-        d_i = derivs[i]
-        if nd.kind == NodeKind.SUM:
-            lw = g.log_weights(i)
-            for idx, c in enumerate(nd.children):
-                derivs[c] = np.logaddexp(derivs[c], lw[idx] + d_i)
-        else:  # PRODUCT
-            child_vals = values[list(nd.children)]
-            neg = np.isneginf(child_vals)
-            n_neg = neg.sum(axis=0)
-            finite_total = np.where(neg, 0.0, child_vals).sum(axis=0)
-            for idx, c in enumerate(nd.children):
-                others_neg = n_neg - neg[idx]
-                own = np.where(neg[idx], 0.0, child_vals[idx])
-                others = np.where(others_neg == 0, finite_total - own, LOG_ZERO)
-                derivs[c] = np.logaddexp(derivs[c], d_i + others)
+    if c.roots_unique:
+        derivs[g.roots] = root_log_grads
+    else:
+        np.logaddexp.at(derivs, g.roots, root_log_grads)
+    factor = np.empty((c.n_edges, batch))
+    factor[c.sum_edge_pos] = c.log_weights[:, None]
+    factor[c.product_edge_pos] = _product_cofactors(c, values)
+    with np.errstate(divide="ignore"):
+        for grp in c.groups:
+            x = derivs[grp.parents]
+            x += factor[grp.edges]
+            if grp.width > 1:
+                x = _logsumexp_rows(x.reshape(len(grp.nodes), grp.width, batch))
+            if grp.has_root:
+                x = np.logaddexp(derivs[grp.nodes], x)
+            derivs[grp.nodes] = x
     return derivs
 
 
@@ -189,18 +235,33 @@ def sum_edge_statistics(g: SpnGraph, values: np.ndarray, derivs: np.ndarray,
     """Expected edge counts w_ij * d_i * v_j / S summed over the batch.
 
     These are both the EM sufficient statistics and (divided by w_ij) the
-    log-likelihood gradients of the sum weights.
+    log-likelihood gradients of the sum weights.  All sum edges are
+    computed in one expression, so stacking many slices' rows into one
+    call costs one pass.
     """
     # Zero-probability batch elements carry no counts; +inf normalizer makes
     # their contributions vanish instead of producing -inf minus -inf.
     safe_norm = np.where(np.isneginf(log_norm), np.inf, log_norm)
-    stats: dict[int, np.ndarray] = {}
-    for i in g.sum_ids():
-        nd = g.nodes[i]
-        lw = g.log_weights(i)
-        contrib = lw[:, None] + derivs[i][None, :] + values[list(nd.children)] - safe_norm[None, :]
-        stats[i] = np.exp(contrib).sum(axis=1)
-    return stats
+    c = g.compiled()
+    return _edge_totals(c, values, derivs, c.log_weights, safe_norm)
+
+
+def _edge_totals(c: CompiledGraph, values: np.ndarray, derivs: np.ndarray,
+                 log_w: np.ndarray, log_norm: np.ndarray) -> dict[int, np.ndarray]:
+    """exp(log_w + d_parent + v_child - log_norm) per sum edge, summed over
+    the rows and split by sum node.  Rows go in blocks, so the temporaries
+    stay small and in cache however many slices were stacked."""
+    totals = np.zeros(len(c.sum_parents))
+    step = max(1, _EDGE_BLOCK // max(1, len(totals)))
+    for lo in range(0, len(log_norm), step):
+        rows = slice(lo, lo + step)
+        x = derivs[c.sum_parents, rows]
+        x += values[c.sum_children, rows]
+        x += log_w[:, None]
+        x -= log_norm[rows]
+        np.exp(x, out=x)
+        totals += x.sum(axis=1)
+    return dict(zip(c.sum_ids, np.split(totals, c.sum_bounds)))
 
 
 @dataclass
@@ -228,8 +289,6 @@ def backprop(g: SpnGraph, evidence: Evidence,
 def weight_gradients(g: SpnGraph, values: np.ndarray,
                      derivs: np.ndarray) -> dict[int, np.ndarray]:
     """Linear-domain d(root value)/d(w_ij) = d_i * v_j per sum edge."""
-    grads: dict[int, np.ndarray] = {}
-    for i in g.sum_ids():
-        nd = g.nodes[i]
-        grads[i] = np.exp(derivs[i][None, :] + values[list(nd.children)]).sum(axis=1)
-    return grads
+    c = g.compiled()
+    return _edge_totals(c, values, derivs, np.zeros(len(c.sum_parents)),
+                        np.zeros(values.shape[1]))

@@ -23,6 +23,10 @@ from .graph import SpnGraph
 from .inference import backward, sum_edge_statistics
 
 
+# Template node-rows (nodes x slices x sequences) per edge-statistics call.
+_STACKED_NODE_ROWS = 1 << 18
+
+
 class NumericalUnderflow(ArithmeticError):
     """A training sequence has probability zero under the current weights."""
 
@@ -62,24 +66,31 @@ def _accumulate(acc: dict[int, np.ndarray], stats: dict[int, np.ndarray]) -> Non
             acc[node] = counts.copy()
 
 
-def _interface_seeds(graph_below: SpnGraph, graph_above: SpnGraph,
-                     derivs_above: np.ndarray, f_map, batch: int) -> np.ndarray:
-    """Root-derivative seeds for the layer below: the derivative at slot s of
-    the layer above is the derivative of the merged root f_map[s] below."""
-    slot_node = graph_above.input_id_by_slot()
-    seeds = np.empty((len(graph_below.roots), batch))
-    for s, root_idx in enumerate(f_map):
-        seeds[root_idx] = derivs_above[slot_node[s]]
-    return seeds
+def _seed_rows(graph_above: SpnGraph, f_map) -> np.ndarray:
+    """Rows of the layer above's derivatives that seed the roots below: the
+    derivative at slot s above is the derivative of the merged root
+    f_map[s] below."""
+    c = graph_above.compiled()
+    rows = np.empty(len(f_map), dtype=np.int64)
+    rows[np.asarray(f_map)[c.input_slot]] = c.input_ids
+    return rows
 
 
 def collect_statistics(m: DspnModel, sequences) -> TiedStatistics:
     """One full E-pass over the dataset: tied expected edge counts plus the
-    train log-likelihood under the current weights."""
+    train log-likelihood under the current weights.
+
+    Each equal-length group runs backward slice by slice and counts the
+    edge statistics once per model part, the template's over the rows of
+    many slices stacked together.  Template slices go in blocks of at most
+    ``_STACKED_NODE_ROWS`` node-rows, so keeping their derivatives for the
+    stacked count costs bounded memory (2 MiB) however long the data."""
     acc = TiedStatistics()
     groups: dict[int, list[int]] = {}
     for i, s in enumerate(sequences):
         groups.setdefault(len(s), []).append(i)
+    top_g, tmpl_g, bot_g = m.top.graph, m.template.graph, m.bottom.graph
+    from_top, from_tmpl = _seed_rows(top_g, m.f_map), _seed_rows(tmpl_g, m.f_map)
     for T, idxs in sorted(groups.items()):
         block = np.stack([np.asarray(sequences[i], dtype=np.int64) for i in idxs])
         loglik, kept = rolling_forward(m, block, keep_values=True)
@@ -89,18 +100,24 @@ def collect_statistics(m: DspnModel, sequences) -> TiedStatistics:
                 f"sequence {bad} has probability zero under the current weights")
         bottom_vals, template_vals, top_vals = kept
         batch = block.shape[0]
-        top_g, tmpl_g, bot_g = m.top.graph, m.template.graph, m.bottom.graph
         derivs = backward(top_g, top_vals, np.zeros((1, batch)))
         _accumulate(acc.top, sum_edge_statistics(top_g, top_vals, derivs, loglik))
-        above = top_g
+        seeds = derivs[from_top]
+        # slice t's values and derivatives sit at index t - 1; a block is
+        # flushed once its lowest slice is done
+        span = max(1, _STACKED_NODE_ROWS // (len(tmpl_g) * batch))
+        stacked = np.empty((len(tmpl_g), min(span, T - 1), batch))
         for t in range(T - 1, 0, -1):
-            vals = template_vals[t - 1]
-            seeds = _interface_seeds(tmpl_g, above, derivs, m.f_map, batch)
-            derivs = backward(tmpl_g, vals, seeds)
-            _accumulate(acc.template,
-                        sum_edge_statistics(tmpl_g, vals, derivs, loglik))
-            above = tmpl_g
-        seeds = _interface_seeds(bot_g, above, derivs, m.f_map, batch)
+            derivs = backward(tmpl_g, template_vals[:, t - 1], seeds)
+            seeds = derivs[from_tmpl]
+            lo = (t - 1) // span * span
+            stacked[:, t - 1 - lo] = derivs
+            if t - 1 == lo:
+                width = min(span, T - 1 - lo)
+                _accumulate(acc.template, sum_edge_statistics(
+                    tmpl_g, template_vals[:, lo:lo + width].reshape(len(tmpl_g), -1),
+                    stacked[:, :width].reshape(len(tmpl_g), -1),
+                    np.tile(loglik, width)))
         derivs = backward(bot_g, bottom_vals, seeds)
         _accumulate(acc.bottom, sum_edge_statistics(bot_g, bottom_vals, derivs, loglik))
         acc.total_loglik += float(loglik.sum())

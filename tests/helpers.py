@@ -1,18 +1,21 @@
 """Shared test generators and independent oracles.
 
 Oracles here deliberately avoid the library's fast paths: scopes come from
-leaf reachability, likelihoods from explicit joint enumeration, and
-partition counts from the triangle recurrence.
+leaf reachability, likelihoods from explicit joint enumeration over the
+per-node reference recursion, and partition counts from the triangle
+recurrence.
 """
 
 import itertools
+from collections import defaultdict
 
 import numpy as np
+from scipy.special import logsumexp
 
 from dspn.dynamic import (BottomNetwork, DspnModel, TemplateNetwork,
-                          TopNetwork, derive_bottom)
+                          TopNetwork, derive_bottom, unroll_with_provenance)
 from dspn.graph import GraphBuilder, NodeKind, SpnGraph
-from dspn.inference import Evidence, evaluate_batch
+from dspn.inference import Evidence
 
 
 # ---------------------------------------------------------------------------
@@ -115,6 +118,95 @@ def random_evidence(n_vars, arities, rng, p_observed=0.6):
 
 
 # ---------------------------------------------------------------------------
+# reference kernels: the per-node recursion over the topological order
+# ---------------------------------------------------------------------------
+
+def _log_weights(nd) -> np.ndarray:
+    with np.errstate(divide="ignore"):
+        return np.log(np.asarray(nd.weights, dtype=float))
+
+
+def reference_forward(g: SpnGraph, ev, input_logs=None) -> np.ndarray:
+    """(n_nodes, batch) log-values, one node at a time."""
+    ev = np.atleast_2d(np.asarray(ev, dtype=np.int64))
+    values = np.empty((len(g.nodes), ev.shape[0]))
+    for i in g.topo_order:
+        nd = g.nodes[i]
+        if nd.kind == NodeKind.INDICATOR:
+            col = ev[:, nd.var]
+            values[i] = np.where((col == -1) | (col == nd.value), 0.0, -np.inf)
+        elif nd.kind == NodeKind.INPUT:
+            values[i] = input_logs[nd.slot]
+        elif nd.kind == NodeKind.PRODUCT:
+            acc = values[nd.children[0]].copy()
+            for c in nd.children[1:]:
+                acc += values[c]
+            values[i] = acc
+        else:
+            shifted = values[list(nd.children)] + _log_weights(nd)[:, None]
+            values[i] = logsumexp(shifted, axis=0)
+    return values
+
+
+def reference_backward(g: SpnGraph, values, root_log_grads=None) -> np.ndarray:
+    """log d(root)/d(node), pushing each node's derivative to its children
+    in reverse topological order; products recount ``-inf`` siblings."""
+    batch = values.shape[1]
+    if root_log_grads is None:
+        root_log_grads = np.zeros((1, batch))
+    derivs = np.full((len(g.nodes), batch), -np.inf)
+    for r, seed in zip(g.roots, root_log_grads):
+        derivs[r] = np.logaddexp(derivs[r], seed)
+    for i in reversed(g.topo_order):
+        nd = g.nodes[i]
+        if nd.is_leaf():
+            continue
+        d_i = derivs[i]
+        if nd.kind == NodeKind.SUM:
+            lw = _log_weights(nd)
+            for idx, c in enumerate(nd.children):
+                derivs[c] = np.logaddexp(derivs[c], lw[idx] + d_i)
+        else:
+            child_vals = values[list(nd.children)]
+            neg = np.isneginf(child_vals)
+            n_neg = neg.sum(axis=0)
+            finite_total = np.where(neg, 0.0, child_vals).sum(axis=0)
+            for idx, c in enumerate(nd.children):
+                others_neg = n_neg - neg[idx]
+                own = np.where(neg[idx], 0.0, child_vals[idx])
+                others = np.where(others_neg == 0, finite_total - own, -np.inf)
+                derivs[c] = np.logaddexp(derivs[c], d_i + others)
+    return derivs
+
+
+def reference_edge_statistics(g: SpnGraph, values, derivs, log_norm) -> dict:
+    """Expected edge counts w_ij * d_i * v_j / S per sum node."""
+    safe_norm = np.where(np.isneginf(log_norm), np.inf, log_norm)
+    stats = {}
+    for i in g.sum_ids():
+        nd = g.nodes[i]
+        contrib = (_log_weights(nd)[:, None] + derivs[i][None, :]
+                   + values[list(nd.children)] - safe_norm[None, :])
+        stats[i] = np.exp(contrib).sum(axis=1)
+    return stats
+
+
+def unrolled_reference_statistics(m: DspnModel, sequences) -> dict:
+    """Tied statistics of equal-length sequences from the reference kernels
+    on the unrolled circuit, summed per (part, source node)."""
+    g, prov = unroll_with_provenance(m, len(sequences[0]))
+    vals = reference_forward(g, np.stack([s.reshape(-1) for s in sequences]))
+    ders = reference_backward(g, vals)
+    ref = reference_edge_statistics(g, vals, ders, vals[g.roots[0]])
+    agg = {"bottom": defaultdict(float), "template": defaultdict(float),
+           "top": defaultdict(float)}
+    for new_id, (part, _, src) in enumerate(prov):
+        if new_id in ref:
+            agg[part][src] = agg[part][src] + ref[new_id]
+    return agg
+
+
+# ---------------------------------------------------------------------------
 # oracles
 # ---------------------------------------------------------------------------
 
@@ -158,7 +250,7 @@ def enumeration_loglik(g: SpnGraph, evidence: Evidence) -> float:
         for r, combo in enumerate(combos):
             for v, val in zip(free, combo):
                 rows[r, v] = val
-    logs = evaluate_batch(g, rows)[0]
+    logs = reference_forward(g, rows)[g.roots[0]]
     mx = logs.max()
     if mx == -np.inf:
         return -np.inf

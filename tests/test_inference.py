@@ -48,11 +48,14 @@ def test_completion_sweep_sums_to_evidence_value():
 
 
 def test_each_node_visited_once():
+    # the compiled layers (plus the two leaf gathers) write every node
+    # exactly once per forward pass
     rng = np.random.default_rng(3)
     g = random_valid_spn(5, rng)
-    profile = {}
-    forward(g, Evidence.marginalized(5).values[None, :], profile=profile)
-    assert profile["visits"] == len(g)
+    c = g.compiled()
+    written = np.concatenate([c.indicator_ids, c.input_ids]
+                             + [layer.ids for layer in c.layers])
+    np.testing.assert_array_equal(np.sort(written), np.arange(len(g)))
 
 
 def test_conditional_of_empty_given_is_marginal():
