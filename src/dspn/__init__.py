@@ -4,8 +4,7 @@ from .graph import (GraphBuilder, GraphError, InvalidGraph, MissingInputScope,
                     Node, NodeKind, Scope, SpnGraph, ValidityReport,
                     check_validity, compute_scopes)
 from .inference import (Evidence, DisjointnessError, ZeroEvidence, backprop,
-                        conditional_query, evaluate, evaluate_batch,
-                        log_likelihood)
+                        conditional_query, evaluate, log_likelihood)
 from .dynamic import (BottomNetwork, DegenerateTemplate, DspnModel,
                       EmptySequence, InvalidModel, InvarianceReport,
                       ScopeAssignment, TemplateNetwork, TopNetwork,

@@ -3,27 +3,24 @@ cross-validated benchmark harness.
 
 Machine-readable output (CSV, model documents) goes to standard output or
 to files named by flags; diagnostics go to standard error.  Every
-subcommand is deterministic given ``--seed``.  The benchmark can run folds
-in parallel threads; set ``DSPN_THREADS`` to override the worker count.
+subcommand is deterministic given ``--seed``.  Every subcommand but
+``validate`` verifies the model it loads and refuses one that fails.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from . import data as dio
-from .dynamic import (DspnModel, dataset_logliks, unroll,
-                      verify_model_validity)
-from .graph import SpnGraph, check_validity
+from .dynamic import dataset_logliks, unroll, verify_model_validity
+from .graph import InvalidGraph, SpnGraph, check_validity
 from .hmm import baum_welch, hmm_dataset, hmm_dataset_loglik, random_hmm
-from .inference import Evidence, conditional_query, log_likelihood
+from .inference import Evidence, ZeroEvidence, forward
 from .structure import IterationRecord, SearchConfig, search
 from .training import TrainConfig, train
 
@@ -36,23 +33,28 @@ def _fail(message: str):
     raise CliError(message)
 
 
-def _load_any_model(path: str):
+def _load_any_model(path: str, verify: bool = True):
+    """Load a ``.spn`` circuit or a ``.dspn`` sequence model; unless
+    ``verify`` is off, raise InvalidGraph/InvalidModel with the report if it
+    fails verification."""
     if path.endswith(".spn"):
-        return dio.load_graph(path)
+        graph = dio.load_graph(path)
+        if verify:
+            report = check_validity(graph)
+            if not report.ok:
+                raise InvalidGraph(report.summary())
+        return graph
     if path.endswith(".dspn"):
-        return dio.load_model(path, strict=False)
+        return dio.load_model(path, strict=verify)
     _fail(f"cannot tell model type from extension: {path}")
 
 
 # -- validate -----------------------------------------------------------------
 
 def cmd_validate(args) -> int:
-    model = _load_any_model(args.model)
-    if isinstance(model, SpnGraph):
-        report = check_validity(model)
-        print(report.summary())
-        return 0 if report.ok else 1
-    report = verify_model_validity(model)
+    model = _load_any_model(args.model, verify=False)
+    report = check_validity(model) if isinstance(model, SpnGraph) \
+        else verify_model_validity(model)
     print(report.summary())
     return 0 if report.ok else 1
 
@@ -60,7 +62,7 @@ def cmd_validate(args) -> int:
 # -- unroll ---------------------------------------------------------------------
 
 def cmd_unroll(args) -> int:
-    model = dio.load_model(args.model, strict=False)
+    model = dio.load_model(args.model)
     graph = unroll(model, args.slices)
     dio.save_graph(graph, args.output)
     print(f"wrote {args.output}: {len(graph)} nodes, {graph.n_vars} variables",
@@ -80,58 +82,68 @@ def _parse_assignments(text: str) -> dict[int, int]:
     return out
 
 
+def _scorer(model):
+    """Log-likelihoods of a list of sequences: one rolling pass for a
+    sequence model, one forward pass over the flattened rows for a circuit."""
+    if not isinstance(model, SpnGraph):
+        return lambda seqs: dataset_logliks(model, seqs)
+    if len(model.roots) != 1:
+        _fail("a circuit to score needs a single root")
+
+    def score(seqs):
+        rows = [np.asarray(s).reshape(-1) for s in seqs]
+        for i, row in enumerate(rows):
+            if row.size != model.n_vars:
+                _fail(f"sequence {i}: {row.size} values, model expects "
+                      f"{model.n_vars}")
+        ev = np.array(rows, dtype=np.int64).reshape(-1, model.n_vars)
+        return forward(model, ev)[model.roots[0]]
+    return score
+
+
 def cmd_infer(args) -> int:
     model = _load_any_model(args.model)
     ds = dio.load_dataset(args.dataset)
-    query = _parse_assignments(args.query) if args.query else None
-    given = _parse_assignments(args.given) if args.given else {}
-    if query is None:
+    score = _scorer(model)
+    if not args.query:
+        lls = score(ds.sequences)
         print("sequence,length,log_likelihood")
-        if isinstance(model, SpnGraph):
-            for i, seq in enumerate(ds.sequences):
-                flat = np.asarray(seq).reshape(-1)
-                if flat.size != model.n_vars:
-                    _fail(f"sequence {i}: {flat.size} values, model expects "
-                          f"{model.n_vars}")
-                ll = log_likelihood(model, Evidence(flat))
-                print(f"{i},{len(seq)},{ll:.12g}")
-        else:
-            lls = dataset_logliks(model, ds.sequences)
-            for i, seq in enumerate(ds.sequences):
-                print(f"{i},{len(seq)},{lls[i]:.12g}")
+        for i, seq in enumerate(ds.sequences):
+            print(f"{i},{len(seq)},{lls[i]:.12g}")
         return 0
-    # conditional mode: flat variable indices; queried/conditioned variables
-    # must be unobserved in the dataset rows
-    print("sequence,length,log_numerator,log_denominator,probability")
-    unrolled: dict[int, SpnGraph] = {}
+    # conditional mode: flat variable indices (slice * n_vars + var);
+    # queried/conditioned variables must be unobserved in the dataset rows
+    query = _parse_assignments(args.query)
+    given = _parse_assignments(args.given) if args.given else {}
+    given_seqs, joint_seqs = [], []
     for i, seq in enumerate(ds.sequences):
-        flat = np.asarray(seq).reshape(-1).copy()
-        if isinstance(model, SpnGraph):
-            graph = model
-        else:
-            graph = unrolled.setdefault(len(seq), unroll(model, len(seq)))
-        if flat.size != graph.n_vars:
-            _fail(f"sequence {i}: {flat.size} values, model expects {graph.n_vars}")
+        flat = np.asarray(seq).reshape(-1)
         for v in list(query) + list(given):
             if not 0 <= v < flat.size:
                 _fail(f"flat variable index {v} out of range for sequence {i}")
             if flat[v] != -1:
                 _fail(f"sequence {i}: variable {v} is observed in the data; "
                       "conditional variables must be missing (-1)")
-        base = Evidence(flat)
-        given_ev = base.merge(Evidence.observing(flat.size, given))
+        given_ev = Evidence(flat).merge(Evidence.observing(flat.size, given))
         joint_ev = given_ev.merge(Evidence.observing(flat.size, query))
-        log_den = log_likelihood(graph, given_ev)
-        log_num = log_likelihood(graph, joint_ev)
-        print(f"{i},{len(seq)},{log_num:.12g},{log_den:.12g},"
-              f"{np.exp(log_num - log_den):.12g}")
+        given_seqs.append(given_ev.values.reshape(np.shape(seq)))
+        joint_seqs.append(joint_ev.values.reshape(np.shape(seq)))
+    log_den = score(given_seqs)
+    if np.isneginf(log_den).any():
+        raise ZeroEvidence(f"sequence {int(np.argmax(np.isneginf(log_den)))}: "
+                           "conditioning evidence has probability zero")
+    log_num = score(joint_seqs)
+    print("sequence,length,log_numerator,log_denominator,probability")
+    for i, seq in enumerate(ds.sequences):
+        print(f"{i},{len(seq)},{log_num[i]:.12g},{log_den[i]:.12g},"
+              f"{np.exp(log_num[i] - log_den[i]):.12g}")
     return 0
 
 
 # -- learn-params -----------------------------------------------------------------
 
 def cmd_learn_params(args) -> int:
-    model = dio.load_model(args.model, strict=False)
+    model = dio.load_model(args.model)
     ds = dio.load_dataset(args.train)
     cfg = TrainConfig(method=args.method, iterations=args.iters,
                       learning_rate=args.lr, laplace_alpha=args.alpha)
@@ -182,10 +194,9 @@ def cmd_gen_hmm(args) -> int:
 
 # -- bench ----------------------------------------------------------------------------
 
-def _bench_fold(fold, ds, true_hmm, config, seed):
-    train_idx, test_idx = fold
+def _bench_fold(test_idx, ds, true_hmm, config, seed):
     test = ds.subset(test_idx)
-    pool = ds.subset(train_idx)
+    pool = ds.subset(np.setdiff1d(np.arange(len(ds)), test_idx))
     scfg_args = dict(config.get("search", {}))
     scfg_args["seed"] = seed
     scfg = SearchConfig(**scfg_args)
@@ -241,21 +252,8 @@ def cmd_bench(args) -> int:
         ds = dio.SequenceDataset(seqs, arities, name="generated")
     else:
         _fail("bench config needs a 'dataset' path or a 'generator' block")
-    blocks = dio.fold_indices(len(ds), folds)
-    fold_specs = []
-    for i, test_idx in enumerate(blocks):
-        train_idx = np.setdiff1d(np.arange(len(ds)), test_idx)
-        fold_specs.append((train_idx, test_idx))
-    workers = int(os.environ.get("DSPN_THREADS", "1"))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(
-                lambda spec: _bench_fold(spec[1], ds, true_hmm, config,
-                                         seed + spec[0]),
-                enumerate(fold_specs)))
-    else:
-        rows = [_bench_fold(spec, ds, true_hmm, config, seed + i)
-                for i, spec in enumerate(fold_specs)]
+    rows = [_bench_fold(test_idx, ds, true_hmm, config, seed + i)
+            for i, test_idx in enumerate(dio.fold_indices(len(ds), folds))]
     print(f"# seed={seed} folds={folds}")
     print("model,mean_test_nll,std_error,learn_seconds_per_iter,inference_seconds")
     for name in ("true", "dspn", "hmm"):

@@ -255,13 +255,6 @@ class DspnModel:
     def f_map(self) -> tuple[int, ...]:
         return self.template.f_map
 
-    @property
-    def signature(self) -> tuple[int, tuple[int, ...], int]:
-        return (self.n_vars, self.arities, self.k)
-
-    def node_count(self) -> int:
-        return len(self.bottom.graph) + len(self.template.graph) + len(self.top.graph)
-
     def copy(self) -> "DspnModel":
         return DspnModel(BottomNetwork(self.bottom.graph.copy()),
                          TemplateNetwork(self.template.graph.copy(), self.f_map),
@@ -437,41 +430,73 @@ def compose_templates(template: TemplateNetwork, copies: int) -> TemplateNetwork
 # rolling evaluation
 # ---------------------------------------------------------------------------
 
-def _as_slice_batch(seq) -> np.ndarray:
-    arr = np.asarray(seq, dtype=np.int64)
-    if arr.ndim == 2:
-        arr = arr[None, :, :]
-    return arr
+@dataclass
+class SequenceBatch:
+    """Sequences of any lengths in one batch, longest first (stable among
+    equal lengths); row r is input sequence ``order[r]``.  Slice t is stored
+    at ``slices[starts[t]:starts[t + 1]]``: one value row per sequence still
+    running, which are the batch's first rows, so no slice carries padding."""
+
+    slices: np.ndarray   # (total slices, n_vars)
+    starts: np.ndarray   # (longest length + 1,) offsets into ``slices``
+    lengths: np.ndarray  # (rows,) non-increasing
+    order: np.ndarray    # (rows,)
+
+    def row_index(self) -> np.ndarray:
+        """Each packed slice's row in the batch."""
+        return np.arange(len(self.slices)) - np.repeat(self.starts[:-1],
+                                                       np.diff(self.starts))
 
 
-def rolling_forward(m: DspnModel, slices: np.ndarray,
+def pack_sequences(sequences, n_vars: int) -> SequenceBatch:
+    """Pack (T_i, n_vars) sequences, values or -1 for marginalized, into
+    one :class:`SequenceBatch`."""
+    seqs = [np.asarray(s, dtype=np.int64) for s in sequences]
+    lengths = np.array([len(s) for s in seqs], dtype=np.int64)
+    if (lengths < 1).any():
+        raise EmptySequence("sequence has no slices")
+    if any(s.ndim != 2 or s.shape[1] != n_vars for s in seqs):
+        raise ValueError(f"every slice must carry {n_vars} variables")
+    order = np.argsort(-lengths, kind="stable")
+    lengths = lengths[order]
+    running = lengths > np.arange(lengths.max(initial=1))[:, None]  # (T, rows)
+    starts = np.concatenate(([0], np.cumsum(running.sum(axis=1))))
+    flat = np.concatenate([np.empty((0, n_vars), dtype=np.int64)]
+                          + [seqs[i] for i in order])
+    first = np.cumsum(lengths) - lengths  # each row's first slice in ``flat``
+    time_major = (first + np.arange(len(running))[:, None])[running]
+    return SequenceBatch(flat[time_major], starts, lengths, order)
+
+
+def rolling_forward(m: DspnModel, batch: SequenceBatch,
                     keep_values: bool = False):
-    """Evaluate a (batch, T, n) block of equal-length sequences slice by
-    slice.  Returns (root log-likelihoods, per-layer forward values or None).
-    Kept values are (bottom, template, top); the template's are stacked as
-    (n_nodes, T - 1, batch) so that all slices can be read as one block.
+    """Evaluate a packed batch slice by slice.  Returns (root
+    log-likelihoods in batch row order, per-layer forward values or None).
+    Kept values are (bottom, template, top); the template's are the rows of
+    slices 1, 2, ... side by side, so all slices can be read as one block.
 
     The interface state after each layer is the vector of that layer's root
-    values, read through the slot-to-root bijection.
-    """
-    slices = _as_slice_batch(slices)
-    batch, T, n = slices.shape
-    if T < 1:
-        raise EmptySequence("sequence has no slices")
-    if n != m.n_vars:
-        raise ValueError(f"slices carry {n} variables, model expects {m.n_vars}")
-    f = list(m.f_map)
-    bottom_vals = forward(m.bottom.graph, slices[:, 0, :])
+    values, read through the slot-to-root bijection.  A row's final state is
+    stored once, when its sequence ends, for the top network to read."""
+    f = m.f_map
+    rows = len(batch.order)
+    starts = batch.starts.tolist()
+    bottom_vals = forward(m.bottom.graph, batch.slices[:rows])
     state = bottom_vals[[m.bottom.graph.roots[f[s]] for s in range(m.k)]]
-    template_vals = np.empty((len(m.template.graph), T - 1, batch)) \
+    final = np.empty_like(state)
+    template_vals = np.empty((len(m.template.graph), starts[-1] - rows)) \
         if keep_values else None
     t_root_rows = [m.template.graph.roots[f[s]] for s in range(m.k)]
-    for t in range(1, T):
-        vals = forward(m.template.graph, slices[:, t, :], state)
+    for lo, hi in zip(starts[1:-1], starts[2:]):
+        if hi - lo < state.shape[1]:
+            final[:, hi - lo:state.shape[1]] = state[:, hi - lo:]
+            state = state[:, :hi - lo]
+        vals = forward(m.template.graph, batch.slices[lo:hi], state)
         state = vals[t_root_rows]
         if keep_values:
-            template_vals[:, t - 1] = vals
-    top_vals = forward(m.top.graph, np.full((batch, m.top.graph.n_vars), -1), state)
+            template_vals[:, lo - rows:hi - rows] = vals
+    final[:, :state.shape[1]] = state
+    top_vals = forward(m.top.graph, np.full((rows, m.top.graph.n_vars), -1), final)
     loglik = top_vals[m.top.graph.roots[0]]
     if keep_values:
         return loglik, (bottom_vals, template_vals, top_vals)
@@ -481,20 +506,17 @@ def rolling_forward(m: DspnModel, slices: np.ndarray,
 def sequence_loglik(m: DspnModel, seq) -> float:
     """Exact log-likelihood of one sequence of slices (values or -1 for
     marginalized), computed without materializing the unrolled circuit."""
-    loglik, _ = rolling_forward(m, np.asarray(seq, dtype=np.int64)[None, :, :])
+    loglik, _ = rolling_forward(m, pack_sequences([seq], m.n_vars))
     return float(loglik[0])
 
 
 def dataset_logliks(m: DspnModel, sequences) -> np.ndarray:
-    """Per-sequence log-likelihoods; equal-length sequences share a pass."""
-    out = np.empty(len(sequences))
-    groups: dict[int, list[int]] = {}
-    for i, s in enumerate(sequences):
-        groups.setdefault(len(s), []).append(i)
-    for T, idxs in groups.items():
-        block = np.stack([np.asarray(sequences[i], dtype=np.int64) for i in idxs])
-        lls, _ = rolling_forward(m, block)
-        out[idxs] = lls
+    """Per-sequence log-likelihoods in input order, from one rolling pass
+    over all sequences packed into one batch."""
+    batch = pack_sequences(sequences, m.n_vars)
+    loglik, _ = rolling_forward(m, batch)
+    out = np.empty_like(loglik)
+    out[batch.order] = loglik
     return out
 
 

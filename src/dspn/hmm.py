@@ -12,7 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import logsumexp
 
-from .dynamic import BottomNetwork, DspnModel, TemplateNetwork, TopNetwork
+from .dynamic import (BottomNetwork, DspnModel, SequenceBatch, TemplateNetwork,
+                      TopNetwork, pack_sequences)
 from .graph import GraphBuilder
 
 PROB_TOL = 1e-12
@@ -57,9 +58,15 @@ class DiscreteHmm:
         return len(self.arities)
 
     def stationary_distribution(self) -> np.ndarray:
+        """The left eigenvector for eigenvalue 1, which must be simple: a
+        repeated eigenvalue 1 means several closed classes, each with its
+        own stationary distribution."""
         vals, vecs = np.linalg.eig(self.transition.T)
-        idx = int(np.argmin(np.abs(vals - 1.0)))
-        pi = np.real(vecs[:, idx])
+        ones = np.flatnonzero(np.abs(vals - 1.0) < 1e-9)
+        if len(ones) != 1:
+            raise ValueError(f"eigenvalue 1 has multiplicity {len(ones)}; "
+                             "the stationary distribution is not unique")
+        pi = np.real(vecs[:, ones[0]])
         pi = np.abs(pi)
         return pi / pi.sum()
 
@@ -111,44 +118,51 @@ def hmm_dataset(h: DiscreteHmm, count: int, length: int,
     return [hmm_sample(h, length, rng) for _ in range(count)]
 
 
-def _log_emission(h: DiscreteHmm, obs: np.ndarray) -> np.ndarray:
-    """(n_states,) log-probability of one slice, marginalizing -1 entries."""
+def _emission_logs(h: DiscreteHmm, slices: np.ndarray) -> np.ndarray:
+    """(rows, n_states) log-probabilities of (rows, n_vars) slices,
+    marginalizing -1 entries."""
     with np.errstate(divide="ignore"):
-        log_e = np.zeros(h.n_states)
-        for v in range(h.n_vars):
-            if obs[v] >= 0:
-                log_e += np.log(h.emissions[:, v, obs[v]])
-    return log_e
+        log_emit = np.log(h.emissions)  # (S, n_vars, max_a)
+    out = np.zeros((len(slices), h.n_states))
+    for v in range(h.n_vars):
+        obs = slices[:, v]
+        vals = log_emit[:, v, np.where(obs >= 0, obs, 0)]  # (S, rows)
+        out += np.where(obs >= 0, vals, 0.0).T
+    return out
+
+
+def _forward(h: DiscreteHmm, batch: SequenceBatch):
+    """The forward recursion in log space over a packed batch.  Returns the
+    log transition matrix and, in packed order, the slice emission logs,
+    the forward messages and each row's log-likelihood."""
+    with np.errstate(divide="ignore"):
+        log_init = np.log(h.initial)
+        log_trans = np.log(h.transition)
+    starts = batch.starts.tolist()
+    log_e = _emission_logs(h, batch.slices)
+    fwd = np.empty_like(log_e)
+    fwd[:starts[1]] = log_init[None, :] + log_e[:starts[1]]
+    for t in range(1, len(starts) - 1):
+        lo, hi = starts[t], starts[t + 1]
+        prev = fwd[starts[t - 1]:starts[t - 1] + hi - lo]
+        fwd[lo:hi] = logsumexp(prev[:, :, None] + log_trans[None, :, :],
+                               axis=1) + log_e[lo:hi]
+    last = batch.starts[batch.lengths - 1] + np.arange(len(batch.order))
+    return log_trans, log_e, fwd, logsumexp(fwd[last], axis=1)
+
+
+def hmm_dataset_loglik(h: DiscreteHmm, sequences) -> np.ndarray:
+    """Per-sequence log-likelihoods in input order, from one forward
+    recursion over all sequences packed into one batch."""
+    batch = pack_sequences(sequences, h.n_vars)
+    out = np.empty(len(batch.order))
+    out[batch.order] = _forward(h, batch)[3]
+    return out
 
 
 def hmm_loglik(h: DiscreteHmm, seq) -> float:
     """Exact sequence log-likelihood by the forward recursion in log space."""
-    seq = np.asarray(seq, dtype=np.int64)
-    with np.errstate(divide="ignore"):
-        log_init = np.log(h.initial)
-        log_trans = np.log(h.transition)
-    alpha = log_init + _log_emission(h, seq[0])
-    for t in range(1, len(seq)):
-        alpha = logsumexp(alpha[:, None] + log_trans, axis=0) + _log_emission(h, seq[t])
-    return float(logsumexp(alpha))
-
-
-def hmm_dataset_loglik(h: DiscreteHmm, sequences) -> np.ndarray:
-    return np.array([hmm_loglik(h, s) for s in sequences])
-
-
-def _batched_log_emission(h: DiscreteHmm, block: np.ndarray) -> np.ndarray:
-    """(B, T, n_states) slice log-probabilities for a (B, T, n_vars) block."""
-    B, T, _ = block.shape
-    with np.errstate(divide="ignore"):
-        log_emit = np.log(h.emissions)  # (S, n_vars, max_a)
-    out = np.zeros((B, T, h.n_states))
-    for v in range(h.n_vars):
-        obs = block[:, :, v]
-        vals = log_emit[:, v, np.where(obs >= 0, obs, 0)]  # (S, B, T)
-        vals = np.where(obs[None, :, :] >= 0, vals, 0.0)
-        out += np.moveaxis(vals, 0, 2)
-    return out
+    return float(hmm_dataset_loglik(h, [seq])[0])
 
 
 def baum_welch(sequences, n_states: int, arities, iterations: int = 100,
@@ -158,63 +172,51 @@ def baum_welch(sequences, n_states: int, arities, iterations: int = 100,
     model and the per-iteration train log-likelihood trace (each value is
     computed before the corresponding update).
 
-    Sequences of equal length are processed as one vectorized batch.
+    All sequences run as one packed batch (:func:`pack_sequences`); a row's
+    backward message starts at its own last slice.
     """
     arities = tuple(arities)
     rng = np.random.default_rng(seed)
     max_a = max(arities)
     h = random_hmm(n_states, arities, rng, stationary_initial=False)
-    groups: dict[int, np.ndarray] = {}
-    by_len: dict[int, list] = {}
-    for s in sequences:
-        by_len.setdefault(len(s), []).append(np.asarray(s, dtype=np.int64))
-    for T, seqs in by_len.items():
-        groups[T] = np.stack(seqs)
+    batch = pack_sequences(sequences, len(arities))
+    starts = batch.starts.tolist()
+    row_of = batch.row_index()
     trace: list[float] = []
     previous = None
     for _ in range(iterations):
-        with np.errstate(divide="ignore"):
-            log_init = np.log(h.initial)
-            log_trans = np.log(h.transition)
-        init_acc = np.zeros(n_states)
+        log_trans, log_e, fwd, ll = _forward(h, batch)
+        total_ll = float(ll.sum())
+        # rows running on at slice t + 1 are the first hi - lo rows of slice t
+        bwd = np.zeros_like(fwd)
+        for t in range(len(starts) - 3, -1, -1):
+            lo, hi = starts[t + 1], starts[t + 2]
+            bwd[starts[t]:starts[t] + hi - lo] = logsumexp(
+                log_trans[None, :, :] + (log_e[lo:hi] + bwd[lo:hi])[:, None, :],
+                axis=2)
+        gamma = np.exp(fwd + bwd - ll[row_of, None])  # (slices, S)
+        init_acc = gamma[:starts[1]].sum(axis=0)
         trans_acc = np.zeros((n_states, n_states))
+        for t in range(len(starts) - 2):
+            lo, hi = starts[t + 1], starts[t + 2]
+            xi = np.exp(fwd[starts[t]:starts[t] + hi - lo][:, :, None]
+                        + log_trans[None, :, :]
+                        + (log_e[lo:hi] + bwd[lo:hi])[:, None, :]
+                        - ll[:hi - lo, None, None])
+            trans_acc += xi.sum(axis=0)
         emit_acc = np.zeros((n_states, len(arities), max_a))
-        total_ll = 0.0
-        for T, block in sorted(groups.items()):
-            B = block.shape[0]
-            log_e = _batched_log_emission(h, block)  # (B, T, S)
-            fwd = np.empty((T, B, n_states))
-            fwd[0] = log_init[None, :] + log_e[:, 0]
-            for t in range(1, T):
-                fwd[t] = logsumexp(fwd[t - 1][:, :, None] + log_trans[None, :, :],
-                                   axis=1) + log_e[:, t]
-            bwd = np.zeros((T, B, n_states))
-            for t in range(T - 2, -1, -1):
-                bwd[t] = logsumexp(log_trans[None, :, :]
-                                   + (log_e[:, t + 1] + bwd[t + 1])[:, None, :],
-                                   axis=2)
-            ll = logsumexp(fwd[-1], axis=1)  # (B,)
-            total_ll += float(ll.sum())
-            gamma = np.exp(fwd + bwd - ll[None, :, None])  # (T, B, S)
-            init_acc += gamma[0].sum(axis=0)
-            for t in range(T - 1):
-                xi = np.exp(fwd[t][:, :, None] + log_trans[None, :, :]
-                            + (log_e[:, t + 1] + bwd[t + 1])[:, None, :]
-                            - ll[:, None, None])
-                trans_acc += xi.sum(axis=0)
-            for v, a in enumerate(arities):
-                obs = block[:, :, v].T  # (T, B)
-                for c in range(a):
-                    emit_acc[:, v, c] += gamma[(obs == c)].sum(axis=0)
+        for v, a in enumerate(arities):
+            obs = batch.slices[:, v]
+            for c in range(a):
+                emit_acc[:, v, c] += gamma[obs == c].sum(axis=0)
         trace.append(total_ll)
         init = init_acc + alpha
         trans = trans_acc + alpha
         emit = emit_acc.copy()
-        for v, a in enumerate(arities):
-            emit[:, v, :a] += alpha
         init /= init.sum()
         trans /= trans.sum(axis=1, keepdims=True)
         for v, a in enumerate(arities):
+            emit[:, v, :a] += alpha
             emit[:, v, :a] /= emit[:, v, :a].sum(axis=1, keepdims=True)
         h = DiscreteHmm(init, trans, emit, arities)
         if previous is not None and abs(total_ll - previous) <= tol * abs(previous):

@@ -33,8 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import (CompiledGraph, InvalidGraph, NodeKind, SpnGraph,
-                    check_validity)
+from .graph import CompiledGraph, NodeKind, SpnGraph
 
 LOG_ZERO = -np.inf
 MARGINALIZED = -1
@@ -125,31 +124,10 @@ def forward(g: SpnGraph, ev: np.ndarray,
     return values
 
 
-def evaluate(g: SpnGraph, evidence: Evidence,
-             interface_log_values: dict[int, float] | None = None,
-             strict: bool = False) -> np.ndarray:
-    """Log-value of every root for one evidence vector."""
-    if strict:
-        report = check_validity(g)
-        if not report.ok:
-            raise InvalidGraph(report.summary())
-    input_logs = None
-    if g.n_interface_inputs:
-        interface_log_values = interface_log_values or {}
-        input_logs = np.empty((g.n_interface_inputs, 1))
-        for s in range(g.n_interface_inputs):
-            if s not in interface_log_values:
-                raise ValueError(f"no value for interface slot {s}")
-            input_logs[s, 0] = interface_log_values[s]
-    values = forward(g, evidence.values[None, :], input_logs)
-    return values[g.roots, 0]
-
-
-def evaluate_batch(g: SpnGraph, ev: np.ndarray,
-                   input_logs: np.ndarray | None = None) -> np.ndarray:
-    """(n_roots, batch) log-values for a batch of evidence rows."""
-    values = forward(g, ev, input_logs)
-    return values[g.roots]
+def evaluate(g: SpnGraph, evidence: Evidence) -> np.ndarray:
+    """Log-value of every root of a self-contained graph for one evidence
+    vector."""
+    return forward(g, evidence.values[None, :])[g.roots, 0]
 
 
 def log_likelihood(g: SpnGraph, evidence: Evidence) -> float:
@@ -271,15 +249,10 @@ class BackpropResult:
     edge_stats: dict[int, np.ndarray]  # sum node -> per-child expected counts
 
 
-def backprop(g: SpnGraph, evidence: Evidence,
-             interface_log_values: dict[int, float] | None = None) -> BackpropResult:
-    """Forward + backward for one evidence vector on a single-root graph."""
-    input_logs = None
-    if g.n_interface_inputs:
-        interface_log_values = interface_log_values or {}
-        input_logs = np.array(
-            [[interface_log_values[s]] for s in range(g.n_interface_inputs)])
-    values = forward(g, evidence.values[None, :], input_logs)
+def backprop(g: SpnGraph, evidence: Evidence) -> BackpropResult:
+    """Forward + backward for one evidence vector on a single-root,
+    self-contained graph."""
+    values = forward(g, evidence.values[None, :])
     derivs = backward(g, values)
     log_norm = values[g.roots[0]]
     stats = sum_edge_statistics(g, values, derivs, log_norm)

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamic import DspnModel, rolling_forward
+from .dynamic import DspnModel, pack_sequences, rolling_forward
 from .graph import SpnGraph
 from .inference import backward, sum_edge_statistics
 
@@ -80,47 +80,49 @@ def collect_statistics(m: DspnModel, sequences) -> TiedStatistics:
     """One full E-pass over the dataset: tied expected edge counts plus the
     train log-likelihood under the current weights.
 
-    Each equal-length group runs backward slice by slice and counts the
-    edge statistics once per model part, the template's over the rows of
-    many slices stacked together.  Template slices go in blocks of at most
-    ``_STACKED_NODE_ROWS`` node-rows, so keeping their derivatives for the
-    stacked count costs bounded memory (2 MiB) however long the data."""
+    All sequences run as one packed batch: one rolling forward pass, then
+    backward slice by slice over the rows still running.  A row whose
+    sequence ends right below the top network takes its backward seed from
+    the top, the others from the template slice above.  Edge statistics are
+    counted once per model part, the template's over the rows of many
+    slices stacked together, in blocks of at most ``_STACKED_NODE_ROWS``
+    node-rows at full batch width: bounded memory (2 MiB) however long the
+    data."""
     acc = TiedStatistics()
-    groups: dict[int, list[int]] = {}
-    for i, s in enumerate(sequences):
-        groups.setdefault(len(s), []).append(i)
     top_g, tmpl_g, bot_g = m.top.graph, m.template.graph, m.bottom.graph
     from_top, from_tmpl = _seed_rows(top_g, m.f_map), _seed_rows(tmpl_g, m.f_map)
-    for T, idxs in sorted(groups.items()):
-        block = np.stack([np.asarray(sequences[i], dtype=np.int64) for i in idxs])
-        loglik, kept = rolling_forward(m, block, keep_values=True)
-        if np.isneginf(loglik).any():
-            bad = idxs[int(np.argmax(np.isneginf(loglik)))]
-            raise NumericalUnderflow(
-                f"sequence {bad} has probability zero under the current weights")
-        bottom_vals, template_vals, top_vals = kept
-        batch = block.shape[0]
-        derivs = backward(top_g, top_vals, np.zeros((1, batch)))
-        _accumulate(acc.top, sum_edge_statistics(top_g, top_vals, derivs, loglik))
-        seeds = derivs[from_top]
-        # slice t's values and derivatives sit at index t - 1; a block is
-        # flushed once its lowest slice is done
-        span = max(1, _STACKED_NODE_ROWS // (len(tmpl_g) * batch))
-        stacked = np.empty((len(tmpl_g), min(span, T - 1), batch))
-        for t in range(T - 1, 0, -1):
-            derivs = backward(tmpl_g, template_vals[:, t - 1], seeds)
-            seeds = derivs[from_tmpl]
-            lo = (t - 1) // span * span
-            stacked[:, t - 1 - lo] = derivs
-            if t - 1 == lo:
-                width = min(span, T - 1 - lo)
-                _accumulate(acc.template, sum_edge_statistics(
-                    tmpl_g, template_vals[:, lo:lo + width].reshape(len(tmpl_g), -1),
-                    stacked[:, :width].reshape(len(tmpl_g), -1),
-                    np.tile(loglik, width)))
-        derivs = backward(bot_g, bottom_vals, seeds)
-        _accumulate(acc.bottom, sum_edge_statistics(bot_g, bottom_vals, derivs, loglik))
-        acc.total_loglik += float(loglik.sum())
+    batch = pack_sequences(sequences, m.n_vars)
+    loglik, kept = rolling_forward(m, batch, keep_values=True)
+    if np.isneginf(loglik).any():
+        bad = batch.order[int(np.argmax(np.isneginf(loglik)))]
+        raise NumericalUnderflow(
+            f"sequence {bad} has probability zero under the current weights")
+    bottom_vals, template_vals, top_vals = kept
+    rows = len(batch.order)
+    derivs = backward(top_g, top_vals, np.zeros((1, rows)))
+    _accumulate(acc.top, sum_edge_statistics(top_g, top_vals, derivs, loglik))
+    seeds = derivs[from_top]
+    # slice t's template values and derivatives are columns starts[t]:starts[t + 1];
+    # a block of ``span`` slices is counted once its lowest slice is done
+    starts = (batch.starts - rows).tolist()
+    log_norm = loglik[batch.row_index()[rows:]]
+    span = max(1, _STACKED_NODE_ROWS // (len(tmpl_g) * max(1, rows)))
+    stacked = np.empty((len(tmpl_g), min(span * rows, starts[-1])))
+    for t in range(len(starts) - 2, 0, -1):
+        lo, hi = starts[t], starts[t + 1]
+        derivs = backward(tmpl_g, template_vals[:, lo:hi], seeds[:, :hi - lo])
+        seeds[:, :hi - lo] = derivs[from_tmpl]
+        first = (t - 1) // span * span + 1
+        base = starts[first]
+        stacked[:, lo - base:hi - base] = derivs
+        if t == first:
+            end = starts[min(first + span, len(starts) - 1)]
+            _accumulate(acc.template, sum_edge_statistics(
+                tmpl_g, template_vals[:, base:end], stacked[:, :end - base],
+                log_norm[base:end]))
+    derivs = backward(bot_g, bottom_vals, seeds)
+    _accumulate(acc.bottom, sum_edge_statistics(bot_g, bottom_vals, derivs, loglik))
+    acc.total_loglik = float(loglik.sum())
     return acc
 
 

@@ -233,3 +233,85 @@ def test_static_spn_infer(workdir, capsys):
     code, out, _ = run_cli(capsys, "infer", gpath, dpath)
     assert code == 0
     assert len(out.strip().splitlines()) == 3
+
+
+def _non_decomposable_spn():
+    from dspn.graph import GraphBuilder
+    b = GraphBuilder(1, (2,), 0)
+    s0 = b.sum([b.indicator(0, 0), b.indicator(0, 1)], [0.5, 0.5])
+    s1 = b.sum([b.indicator(0, 0), b.indicator(0, 1)], [0.4, 0.6])
+    return b.build([b.product([s0, s1])])
+
+
+def test_commands_refuse_models_that_fail_verification(workdir, capsys):
+    from dspn.data import SequenceDataset
+    from dspn.dynamic import TopNetwork
+    from dspn.graph import GraphBuilder
+    spn = workdir / "bad.spn"
+    save_graph(_non_decomposable_spn(), spn)
+    flat = workdir / "flat.seqs"
+    save_dataset(SequenceDataset([np.array([[1]])], (2,)), flat)
+    code, out, err = run_cli(capsys, "infer", spn, flat)
+    assert code == 1 and out == ""
+    assert "non-decomposable" in err
+
+    # a top network multiplying the two slots, whose scopes are identical
+    m = small_model(seed=8)
+    b = GraphBuilder(1, (2,), 2)
+    top = TopNetwork(b.build([b.product([b.interface_input(0),
+                                         b.interface_input(1)])]))
+    bad = DspnModel(m.bottom, m.template, top, strict=False)
+    mpath = workdir / "bad.dspn"
+    save_model(bad, mpath)
+    seqs = workdir / "d.seqs"
+    save_dataset(SequenceDataset([np.array([[0], [1]])], (2,)), seqs)
+    for argv in (("infer", mpath, seqs), ("unroll", mpath, "-T", 2, "-o",
+                                          workdir / "u.spn"),
+                 ("learn-params", mpath, seqs, "--iters", 1)):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == ""
+        assert "top network" in err
+    code, out, _ = run_cli(capsys, "validate", mpath)
+    assert code == 1
+    assert "top network" in out
+
+
+def test_conditional_on_zero_probability_evidence_fails(workdir, capsys):
+    from dspn.data import SequenceDataset
+    from dspn.graph import GraphBuilder
+    b = GraphBuilder(2, (2, 2), 0)
+    never_one = b.sum([b.indicator(0, 0), b.indicator(0, 1)], [1.0, 0.0])
+    coin = b.sum([b.indicator(1, 0), b.indicator(1, 1)], [0.5, 0.5])
+    gpath = workdir / "g.spn"
+    save_graph(b.build([b.product([never_one, coin])]), gpath)
+    dpath = workdir / "free.seqs"
+    save_dataset(SequenceDataset([np.array([[-1, -1]])], (2, 2)), dpath)
+    code, out, err = run_cli(capsys, "infer", gpath, dpath,
+                             "--query", "1=0", "--given", "0=1")
+    assert code == 1 and out == ""
+    assert "probability zero" in err
+
+
+def test_conditional_on_mixed_lengths_matches_unrolled(workdir, capsys):
+    from dspn.data import SequenceDataset
+    from dspn.inference import Evidence, conditional_query
+    m = small_model(seed=9, n=2)
+    mpath = workdir / "m.dspn"
+    save_model(m, mpath)
+    rng = np.random.default_rng(9)
+    seqs = [rng.integers(-1, 2, (T, 2)) for T in (4, 1, 6, 2, 4)]
+    for s in seqs:
+        s[0] = -1  # the query and conditioning variables
+    dpath = workdir / "mixed.seqs"
+    save_dataset(SequenceDataset(seqs, (2, 2)), dpath)
+    code, out, _ = run_cli(capsys, "infer", mpath, dpath,
+                           "--query", "0=1", "--given", "1=0")
+    assert code == 0
+    rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+    assert [int(r[1]) for r in rows] == [len(s) for s in seqs]
+    for seq, row in zip(seqs, rows):
+        flat = seq.reshape(-1)
+        given = Evidence(flat).merge(Evidence.observing(flat.size, {1: 0}))
+        want = conditional_query(unroll(m, len(seq)),
+                                 Evidence.observing(flat.size, {0: 1}), given)
+        assert float(row[4]) == pytest.approx(want, rel=1e-9)

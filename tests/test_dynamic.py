@@ -11,9 +11,11 @@ from dspn.dynamic import (BottomNetwork, DegenerateTemplate, DspnModel,
                           verify_model_validity)
 from dspn.graph import (GraphBuilder, NodeKind, Scope, check_validity,
                         compute_scopes)
-from dspn.hmm import hmm_loglik, hmm_sample, hmm_to_model, random_hmm
+from dspn.hmm import (hmm_dataset_loglik, hmm_loglik, hmm_sample,
+                      hmm_to_model, random_hmm)
 from dspn.inference import Evidence, conditional_query, log_likelihood
 from dspn.structure import build_initial_template, build_top
+from dspn.training import collect_statistics
 from helpers import random_invariant_model
 
 
@@ -277,8 +279,18 @@ def test_rolling_handles_missing_values():
 
 def test_empty_sequence_rejected():
     m = initial_model()
+    empty = np.zeros((0, 3), dtype=np.int64)
     with pytest.raises(EmptySequence):
-        sequence_loglik(m, np.zeros((0, 3), dtype=np.int64))
+        sequence_loglik(m, empty)
+    # a zero-length member of a batch is rejected too
+    batch = [np.zeros((4, 3), dtype=np.int64), empty, np.ones((2, 3), dtype=np.int64)]
+    with pytest.raises(EmptySequence):
+        dataset_logliks(m, batch)
+    with pytest.raises(EmptySequence):
+        collect_statistics(m, batch)
+    h = random_hmm(2, (2, 2, 2), np.random.default_rng(19))
+    with pytest.raises(EmptySequence):
+        hmm_dataset_loglik(h, batch)
 
 
 def test_hand_built_hmm_matches_forward_oracle():
@@ -316,13 +328,17 @@ def test_permuted_interface_bijection_round_trips():
 
 
 def test_dataset_logliks_groups_by_length():
+    # one packed batch gives each sequence its own score, in input order:
+    # mixed lengths, all of length 1, one long among many short, and none
     rng = np.random.default_rng(18)
     m = random_invariant_model(2, 2, rng)
-    seqs = [np.stack([[int(rng.integers(a)) for a in m.arities]
-                      for _ in range(T)]) for T in (3, 5, 3, 2, 5)]
-    got = dataset_logliks(m, seqs)
-    want = [sequence_loglik(m, s) for s in seqs]
-    np.testing.assert_allclose(got, want, atol=1e-12)
+    for lengths in ((3, 5, 3, 2, 5), (1, 1, 1, 1), (2, 1, 1, 40, 1, 3, 1), ()):
+        seqs = [np.stack([[int(rng.integers(a)) for a in m.arities]
+                          for _ in range(T)]) for T in lengths]
+        got = dataset_logliks(m, seqs)
+        want = [sequence_loglik(m, s) for s in seqs]
+        assert got.shape == (len(seqs),)
+        np.testing.assert_allclose(got, want, atol=1e-12)
 
 
 # -- sampling ---------------------------------------------------------------------

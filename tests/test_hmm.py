@@ -49,20 +49,30 @@ def test_loglik_single_slice():
     assert hmm_loglik(h, obs) == pytest.approx(want, abs=1e-12)
 
 
+def path_enumeration_loglik(h, seq):
+    """Log of the sum over every hidden-state path; a missing (-1) value
+    emits with probability 1."""
+    total = 0.0
+    for path in itertools.product(range(h.n_states), repeat=len(seq)):
+        p = h.initial[path[0]]
+        for t in range(1, len(seq)):
+            p *= h.transition[path[t - 1], path[t]]
+        for t, obs in enumerate(seq):
+            for v, x in enumerate(obs):
+                if x >= 0:
+                    p *= h.emissions[path[t], v, x]
+        total += p
+    return np.log(total)
+
+
 def test_loglik_matches_path_enumeration():
+    # every length in one batch
     rng = np.random.default_rng(4)
     h = random_hmm(2, (2,), rng, stationary_initial=False)
-    for T in (1, 2, 4, 7, 10):
-        seq = hmm_sample(h, T, rng)
-        total = 0.0
-        for path in itertools.product(range(2), repeat=T):
-            p = h.initial[path[0]]
-            for t in range(1, T):
-                p *= h.transition[path[t - 1], path[t]]
-            for t in range(T):
-                p *= h.emissions[path[t], 0, seq[t, 0]]
-            total += p
-        assert hmm_loglik(h, seq) == pytest.approx(np.log(total), abs=1e-10)
+    seqs = [hmm_sample(h, T, rng) for T in (1, 2, 4, 7, 10)]
+    want = [path_enumeration_loglik(h, s) for s in seqs]
+    np.testing.assert_allclose(hmm_dataset_loglik(h, seqs), want, rtol=0, atol=1e-10)
+    assert hmm_dataset_loglik(h, []).shape == (0,)
 
 
 def test_loglik_with_missing_values():
@@ -115,6 +125,38 @@ def test_baum_welch_monotone():
     _, trace = baum_welch(data, 2, (2,), iterations=100, alpha=0.0, tol=0.0)
     diffs = np.diff(trace)
     assert (diffs >= -1e-8).all()
+
+
+def test_baum_welch_mixed_lengths_with_missing_values():
+    rng = np.random.default_rng(12)
+    arities = (2, 3)
+    data = [hmm_sample(random_hmm(2, arities, rng), T, rng)
+            for T in (6, 1, 3, 6, 2, 5, 1, 4)]
+    for s in data:
+        s[rng.random(s.shape) < 0.3] = -1
+    _, trace = baum_welch(data, 2, arities, iterations=30, alpha=0.0, tol=0.0,
+                          seed=3)
+    # the first trace value scores the data under baum_welch's starting model
+    start = random_hmm(2, arities, np.random.default_rng(3),
+                       stationary_initial=False)
+    want = sum(path_enumeration_loglik(start, s) for s in data)
+    assert trace[0] == pytest.approx(want, abs=1e-9)
+    assert len(trace) == 30
+    assert (np.diff(trace) >= -1e-8).all()
+
+
+def test_stationary_distribution_rejects_repeated_unit_eigenvalue():
+    # the identity and a chain with two closed classes have many
+    # stationary distributions, so no single one may be returned
+    two_classes = [[0.5, 0.5, 0, 0], [0.5, 0.5, 0, 0],
+                   [0, 0, 0.5, 0.5], [0, 0, 0.5, 0.5]]
+    for trans in (np.eye(2), np.array(two_classes)):
+        s = len(trans)
+        h = DiscreteHmm(np.full(s, 1.0 / s), trans, np.full((s, 1, 2), 0.5), (2,))
+        with pytest.raises(ValueError, match="not unique"):
+            h.stationary_distribution()
+        with pytest.raises(ValueError, match="not unique"):
+            hmm_to_model(h)
 
 
 def test_baum_welch_approaches_generator():

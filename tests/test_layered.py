@@ -11,7 +11,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from dspn import training
-from dspn.dynamic import dataset_logliks, rolling_forward, unroll
+from dspn.dynamic import (dataset_logliks, pack_sequences, rolling_forward,
+                          unroll)
 from dspn.graph import GraphBuilder
 from dspn.inference import Evidence, backward, forward, sum_edge_statistics
 from dspn.training import (NumericalUnderflow, TrainConfig,
@@ -132,13 +133,20 @@ def assert_tied_statistics_exact(m, seqs):
 @pytest.mark.parametrize("span", [1, 2, 4, 5])
 def test_template_statistics_in_blocks_of_slices(monkeypatch, span):
     # T=6 gives 5 template slices: one call per slice, uneven blocks, and
-    # exactly one block
+    # exactly one block.  A block holds up to span * (longest batch) rows,
+    # so ragged batches put a varying number of slices in a block; rows
+    # that end below the top take their seeds from the top.
     rng = np.random.default_rng(26)
     m = random_invariant_model(2, 2, rng)
-    seqs = [evidence_rows(rng, m.arities, [0.7] * 6) for _ in range(3)]
-    monkeypatch.setattr(training, "_STACKED_NODE_ROWS",
-                        span * len(m.template.graph) * len(seqs))
-    assert_tied_statistics_exact(m, seqs)
+    for lengths in ((6, 6, 6), (9, 2, 6, 1, 6), (1, 1, 1), (12, 1, 2, 1, 1, 3), ()):
+        seqs = [evidence_rows(rng, m.arities, [0.7] * T) for T in lengths]
+        monkeypatch.setattr(training, "_STACKED_NODE_ROWS",
+                            span * len(m.template.graph) * max(1, len(seqs)))
+        assert_tied_statistics_exact(m, seqs)
+    tied = collect_statistics(m, [])
+    assert tied.total_loglik == 0.0
+    for acc in (tied.bottom, tied.template, tied.top):
+        assert all((counts == 0).all() for counts in acc.values())
 
 
 @pytest.mark.parametrize("roots", [(2, 0), (2, 2), (0, 2, 0)])
@@ -223,7 +231,7 @@ def test_zeroed_edge_raises_underflow_without_nan():
     for _ in range(2):
         em_step(m, unseen, cfg)
     hits = unseen + [np.array([[0], [1], [0]])]
-    lls, kept = rolling_forward(m, hits[2], keep_values=True)
+    lls, kept = rolling_forward(m, pack_sequences(hits[2:], 1), keep_values=True)
     assert np.isneginf(lls).all()
     for part in (kept[0], kept[1], kept[2]):
         assert not np.isnan(part).any()
