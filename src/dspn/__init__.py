@@ -3,8 +3,9 @@
 from .graph import (GraphBuilder, GraphError, InvalidGraph, MissingInputScope,
                     Node, NodeKind, Scope, SpnGraph, ValidityReport,
                     check_validity, compute_scopes)
-from .inference import (Evidence, DisjointnessError, ZeroEvidence, backprop,
-                        conditional_query, evaluate, log_likelihood)
+from .inference import (Evidence, DisjointnessError, ZeroEvidence, backward,
+                        conditional_query, forward, log_likelihood,
+                        sum_edge_statistics)
 from .dynamic import (BottomNetwork, DegenerateTemplate, DspnModel,
                       EmptySequence, InvalidModel, InvarianceReport,
                       ScopeAssignment, TemplateNetwork, TopNetwork,
@@ -14,7 +15,7 @@ from .dynamic import (BottomNetwork, DegenerateTemplate, DspnModel,
 from .partitions import (CursorStore, IndependenceOracle, InsufficientData,
                          Partition, RgsCursor, bell_number, decode_rgs,
                          encode_rgs, get_partition, independent_components,
-                         next_partition, random_partition)
+                         random_partition)
 from .training import (NumericalUnderflow, TiedStatistics, TrainConfig,
                        collect_statistics, em_step, gradient_step, train)
 from .structure import (IterationRecord, SearchConfig, SearchState,

@@ -84,18 +84,24 @@ def _parse_assignments(text: str) -> dict[int, int]:
 
 def _scorer(model):
     """Log-likelihoods of a list of sequences: one rolling pass for a
-    sequence model, one forward pass over the flattened rows for a circuit."""
+    sequence model, one forward pass over the flattened rows for a circuit.
+    A value outside the model's arities raises ArityViolation; a circuit
+    sees each sequence as one slice of its flat variables."""
     if not isinstance(model, SpnGraph):
-        return lambda seqs: dataset_logliks(model, seqs)
+        def score(seqs):
+            dio.SequenceDataset(seqs, model.arities).validate()
+            return dataset_logliks(model, seqs)
+        return score
     if len(model.roots) != 1:
         _fail("a circuit to score needs a single root")
 
     def score(seqs):
-        rows = [np.asarray(s).reshape(-1) for s in seqs]
+        rows = [np.asarray(s).reshape(1, -1) for s in seqs]
         for i, row in enumerate(rows):
             if row.size != model.n_vars:
                 _fail(f"sequence {i}: {row.size} values, model expects "
                       f"{model.n_vars}")
+        dio.SequenceDataset(rows, model.arities).validate()
         ev = np.array(rows, dtype=np.int64).reshape(-1, model.n_vars)
         return forward(model, ev)[model.roots[0]]
     return score
@@ -145,6 +151,7 @@ def cmd_infer(args) -> int:
 def cmd_learn_params(args) -> int:
     model = dio.load_model(args.model)
     ds = dio.load_dataset(args.train)
+    dio.SequenceDataset(ds.sequences, model.arities).validate()
     cfg = TrainConfig(method=args.method, iterations=args.iters,
                       learning_rate=args.lr, laplace_alpha=args.alpha)
     model = train(model, ds.sequences, cfg)

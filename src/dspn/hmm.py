@@ -10,11 +10,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .dynamic import (BottomNetwork, DspnModel, SequenceBatch, TemplateNetwork,
                       TopNetwork, pack_sequences)
 from .graph import GraphBuilder
+from .inference import _logsumexp_rows
 
 PROB_TOL = 1e-12
 
@@ -135,20 +135,19 @@ def _forward(h: DiscreteHmm, batch: SequenceBatch):
     """The forward recursion in log space over a packed batch.  Returns the
     log transition matrix and, in packed order, the slice emission logs,
     the forward messages and each row's log-likelihood."""
-    with np.errstate(divide="ignore"):
-        log_init = np.log(h.initial)
-        log_trans = np.log(h.transition)
     starts = batch.starts.tolist()
     log_e = _emission_logs(h, batch.slices)
     fwd = np.empty_like(log_e)
-    fwd[:starts[1]] = log_init[None, :] + log_e[:starts[1]]
-    for t in range(1, len(starts) - 1):
-        lo, hi = starts[t], starts[t + 1]
-        prev = fwd[starts[t - 1]:starts[t - 1] + hi - lo]
-        fwd[lo:hi] = logsumexp(prev[:, :, None] + log_trans[None, :, :],
-                               axis=1) + log_e[lo:hi]
-    last = batch.starts[batch.lengths - 1] + np.arange(len(batch.order))
-    return log_trans, log_e, fwd, logsumexp(fwd[last], axis=1)
+    with np.errstate(divide="ignore"):
+        log_trans = np.log(h.transition)
+        fwd[:starts[1]] = np.log(h.initial)[None, :] + log_e[:starts[1]]
+        for t in range(1, len(starts) - 1):
+            lo, hi = starts[t], starts[t + 1]
+            prev = fwd[starts[t - 1]:starts[t - 1] + hi - lo]
+            fwd[lo:hi] = _logsumexp_rows(prev[:, :, None] + log_trans[None, :, :])
+            fwd[lo:hi] += log_e[lo:hi]
+        last = batch.starts[batch.lengths - 1] + np.arange(len(batch.order))
+        return log_trans, log_e, fwd, _logsumexp_rows(fwd[last])
 
 
 def hmm_dataset_loglik(h: DiscreteHmm, sequences) -> np.ndarray:
@@ -188,12 +187,13 @@ def baum_welch(sequences, n_states: int, arities, iterations: int = 100,
         log_trans, log_e, fwd, ll = _forward(h, batch)
         total_ll = float(ll.sum())
         # rows running on at slice t + 1 are the first hi - lo rows of slice t
+        # operand (rows, next state, state), reduced over the next state
         bwd = np.zeros_like(fwd)
-        for t in range(len(starts) - 3, -1, -1):
-            lo, hi = starts[t + 1], starts[t + 2]
-            bwd[starts[t]:starts[t] + hi - lo] = logsumexp(
-                log_trans[None, :, :] + (log_e[lo:hi] + bwd[lo:hi])[:, None, :],
-                axis=2)
+        with np.errstate(divide="ignore"):
+            for t in range(len(starts) - 3, -1, -1):
+                lo, hi = starts[t + 1], starts[t + 2]
+                bwd[starts[t]:starts[t] + hi - lo] = _logsumexp_rows(
+                    (log_e[lo:hi] + bwd[lo:hi])[:, :, None] + log_trans.T[None, :, :])
         gamma = np.exp(fwd + bwd - ll[row_of, None])  # (slices, S)
         init_acc = gamma[:starts[1]].sum(axis=0)
         trans_acc = np.zeros((n_states, n_states))

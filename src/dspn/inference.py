@@ -16,7 +16,11 @@ Evidence is vectorized: every pass handles a batch of evidence rows at once.
   the contributions into the nodes of one depth and in-degree are sorted
   by child and combined by the same log-sum-exp.
 * ``sum_edge_statistics``: all sum edges in one expression over any
-  number of stacked rows.
+  number of stacked rows; divided by the weights, these are the
+  log-likelihood gradients.
+
+These three are the only way into a circuit; ``log_likelihood`` and
+``conditional_query`` are one ``forward`` call each.
 
 Equal-width layers stand in for ``np.add.reduceat`` segments: with numpy
 2.4 on an x86-64 guest, ``reduceat`` along the row axis cost 5-9 ns per
@@ -28,8 +32,6 @@ are written to keep that representation NaN-free.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,13 +56,8 @@ class DisjointnessError(ValueError):
 class Evidence:
     """Per-variable assignment: an observed value or marginalized (-1)."""
 
-    def __init__(self, values: np.ndarray, arities: tuple[int, ...] | None = None):
+    def __init__(self, values: np.ndarray):
         self.values = np.asarray(values, dtype=np.int64)
-        if arities is not None:
-            bad = (self.values >= np.asarray(arities)) | (self.values < MARGINALIZED)
-            if bad.any():
-                v = int(np.argmax(bad))
-                raise ValueError(f"evidence value {self.values[v]} out of range for var {v}")
 
     @classmethod
     def marginalized(cls, n_vars: int) -> "Evidence":
@@ -82,10 +79,11 @@ class Evidence:
 
 
 def _logsumexp_rows(x: np.ndarray) -> np.ndarray:
-    """Log-sum-exp of a (nodes, width, batch) block over its width axis,
-    consuming ``x``.  A node whose terms are all ``-inf`` gets a finite
-    shift, so it yields ``-inf`` rather than NaN.  Callers silence the
-    divide warning of log(0)."""
+    """Log-sum-exp over axis 1, consuming ``x``: a (nodes, width, batch)
+    block over its width, or a (rows, terms) matrix over its terms.  The
+    package's only log-sum-exp.  A node whose terms are all ``-inf`` gets a
+    finite shift, so it yields ``-inf`` rather than NaN.  Callers silence
+    the divide warning of log(0)."""
     shift = np.maximum.reduce(x, axis=1)
     np.maximum(shift, _SHIFT_FLOOR, out=shift)
     x -= shift[:, None]
@@ -124,30 +122,24 @@ def forward(g: SpnGraph, ev: np.ndarray,
     return values
 
 
-def evaluate(g: SpnGraph, evidence: Evidence) -> np.ndarray:
-    """Log-value of every root of a self-contained graph for one evidence
-    vector."""
-    return forward(g, evidence.values[None, :])[g.roots, 0]
-
-
 def log_likelihood(g: SpnGraph, evidence: Evidence) -> float:
     """Root log-value of a single-root, self-contained graph."""
     if len(g.roots) != 1:
         raise ValueError("log_likelihood requires a single-root graph")
-    return float(evaluate(g, evidence)[0])
+    return float(forward(g, evidence.values)[g.roots[0], 0])
 
 
 def conditional_query(g: SpnGraph, query: Evidence, given: Evidence) -> float:
-    """Pr(query | given) as the ratio of two bottom-up passes."""
+    """Pr(query | given) as the ratio of the root values of one bottom-up
+    pass over the stacked (given, joint) rows."""
     if g.n_interface_inputs:
         raise ValueError("conditional queries require a self-contained graph")
     if len(g.roots) != 1:
         raise ValueError("conditional queries require a single-root graph")
     joint = query.merge(given)  # raises DisjointnessError on overlap
-    log_den = float(evaluate(g, given)[0])
+    log_den, log_num = forward(g, np.stack([given.values, joint.values]))[g.roots[0]]
     if log_den == LOG_ZERO:
         raise ZeroEvidence("conditioning evidence has probability zero")
-    log_num = float(evaluate(g, joint)[0])
     return float(np.exp(log_num - log_den))
 
 
@@ -221,47 +213,16 @@ def sum_edge_statistics(g: SpnGraph, values: np.ndarray, derivs: np.ndarray,
     # their contributions vanish instead of producing -inf minus -inf.
     safe_norm = np.where(np.isneginf(log_norm), np.inf, log_norm)
     c = g.compiled()
-    return _edge_totals(c, values, derivs, c.log_weights, safe_norm)
-
-
-def _edge_totals(c: CompiledGraph, values: np.ndarray, derivs: np.ndarray,
-                 log_w: np.ndarray, log_norm: np.ndarray) -> dict[int, np.ndarray]:
-    """exp(log_w + d_parent + v_child - log_norm) per sum edge, summed over
-    the rows and split by sum node.  Rows go in blocks, so the temporaries
-    stay small and in cache however many slices were stacked."""
+    # Rows go in blocks, so the temporaries stay small and in cache however
+    # many slices were stacked.
     totals = np.zeros(len(c.sum_parents))
     step = max(1, _EDGE_BLOCK // max(1, len(totals)))
-    for lo in range(0, len(log_norm), step):
+    for lo in range(0, len(safe_norm), step):
         rows = slice(lo, lo + step)
         x = derivs[c.sum_parents, rows]
         x += values[c.sum_children, rows]
-        x += log_w[:, None]
-        x -= log_norm[rows]
+        x += c.log_weights[:, None]
+        x -= safe_norm[rows]
         np.exp(x, out=x)
         totals += x.sum(axis=1)
     return dict(zip(c.sum_ids, np.split(totals, c.sum_bounds)))
-
-
-@dataclass
-class BackpropResult:
-    log_values: np.ndarray            # (n_nodes,) forward log-values
-    log_derivs: np.ndarray            # (n_nodes,) log d(root)/d(node)
-    edge_stats: dict[int, np.ndarray]  # sum node -> per-child expected counts
-
-
-def backprop(g: SpnGraph, evidence: Evidence) -> BackpropResult:
-    """Forward + backward for one evidence vector on a single-root,
-    self-contained graph."""
-    values = forward(g, evidence.values[None, :])
-    derivs = backward(g, values)
-    log_norm = values[g.roots[0]]
-    stats = sum_edge_statistics(g, values, derivs, log_norm)
-    return BackpropResult(values[:, 0], derivs[:, 0], stats)
-
-
-def weight_gradients(g: SpnGraph, values: np.ndarray,
-                     derivs: np.ndarray) -> dict[int, np.ndarray]:
-    """Linear-domain d(root value)/d(w_ij) = d_i * v_j per sum edge."""
-    c = g.compiled()
-    return _edge_totals(c, values, derivs, np.zeros(len(c.sum_parents)),
-                        np.zeros(values.shape[1]))

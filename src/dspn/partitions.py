@@ -109,10 +109,6 @@ class RgsCursor:
         self._exhausted = False
 
 
-def next_partition(cursor: RgsCursor) -> Partition | None:
-    return cursor.next_partition()
-
-
 def _rgs_completion_counts(m: int) -> np.ndarray:
     """counts[i, j] = number of RGS suffixes from position i with running max j."""
     counts = np.zeros((m + 1, m + 2), dtype=object)

@@ -20,8 +20,8 @@ from dspn.dynamic import (DspnModel, check_invariance, dataset_logliks,
 from dspn.graph import check_validity
 from dspn.hmm import (baum_welch, hmm_dataset, hmm_dataset_loglik, hmm_loglik,
                       hmm_sample, hmm_to_model, random_hmm)
-from dspn.inference import (Evidence, backward, conditional_query, evaluate,
-                            forward, sum_edge_statistics)
+from dspn.inference import (Evidence, backward, conditional_query, forward,
+                            sum_edge_statistics)
 from dspn.partitions import RgsCursor, decode_rgs, encode_rgs
 from dspn.structure import SearchConfig, build_initial_template, build_top, \
     search
@@ -67,7 +67,7 @@ def test_c2_inference_exactness():
         n = int(rng.integers(2, 11))
         g = random_valid_spn(n, rng)
         ev = random_evidence(n, g.arities, rng)
-        got = float(evaluate(g, ev)[0])
+        got = float(forward(g, ev.values)[g.roots[0], 0])
         want = enumeration_loglik(g, ev)
         if want != -np.inf:
             # absolute comparison when the log value sits at 0 (probability 1)

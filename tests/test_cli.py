@@ -315,3 +315,47 @@ def test_conditional_on_mixed_lengths_matches_unrolled(workdir, capsys):
         want = conditional_query(unroll(m, len(seq)),
                                  Evidence.observing(flat.size, {0: 1}), given)
         assert float(row[4]) == pytest.approx(want, rel=1e-9)
+
+
+@pytest.mark.parametrize("command", ["infer", "learn-params"])
+def test_dataset_values_outside_model_arities_fail(workdir, capsys, command):
+    # the dataset's header allows a 2 that the binary model does not
+    from dspn.data import SequenceDataset
+    mpath = workdir / "m.dspn"
+    save_model(small_model(seed=10), mpath)
+    dpath = workdir / "ternary.seqs"
+    save_dataset(SequenceDataset([np.array([[0], [1]]), np.array([[1], [2]])],
+                                 (3,)), dpath)
+    code, out, err = run_cli(capsys, command, mpath, dpath)
+    assert code == 1 and out == ""
+    assert "sequence 1, slice 1, var 0: value 2 out of range" in err
+
+
+def test_flat_circuit_checks_each_variable_arity(workdir, capsys):
+    # a circuit's variables are the flattened slices, each with its arity
+    from dspn.data import SequenceDataset
+    g = random_valid_spn(4, np.random.default_rng(10), arities=(2, 3, 2, 2))
+    gpath = workdir / "g.spn"
+    save_graph(g, gpath)
+    dpath = workdir / "flat.seqs"
+    save_dataset(SequenceDataset([np.array([[0, 2, 1, 2]])], (3, 3, 3, 3)), dpath)
+    code, out, err = run_cli(capsys, "infer", gpath, dpath)
+    assert code == 1 and out == ""
+    assert "sequence 0, slice 0, var 3: value 2 out of range" in err
+
+
+@pytest.mark.parametrize("flag, value, where", [
+    ("--query", "0=5", "slice 0, var 0: value 5"),
+    ("--given", "1=7", "slice 1, var 0: value 7"),
+])
+def test_conditional_values_outside_model_arities_fail(workdir, capsys, flag,
+                                                       value, where):
+    from dspn.data import SequenceDataset
+    mpath = workdir / "m.dspn"
+    save_model(small_model(seed=11), mpath)
+    dpath = workdir / "free.seqs"
+    save_dataset(SequenceDataset([np.full((3, 1), -1)], (2,)), dpath)
+    other = {"--query": ("--given", "2=1"), "--given": ("--query", "2=1")}[flag]
+    code, out, err = run_cli(capsys, "infer", mpath, dpath, flag, value, *other)
+    assert code == 1 and out == ""
+    assert f"sequence 0, {where} out of range" in err

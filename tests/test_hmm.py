@@ -75,6 +75,42 @@ def test_loglik_matches_path_enumeration():
     assert hmm_dataset_loglik(h, []).shape == (0,)
 
 
+def test_zero_probability_sequences_score_minus_inf():
+    # zeros in every table: state 2 is never initial, state 0 is entered
+    # only from itself, and each state cannot emit one symbol; so symbol 0
+    # (only state 0 emits it) never follows symbol 2 (only states 1 and 2)
+    h = DiscreteHmm(initial=[0.6, 0.4, 0.0],
+                    transition=[[0.7, 0.3, 0.0], [0.0, 0.5, 0.5],
+                                [0.0, 0.0, 1.0]],
+                    emissions=[[[0.5, 0.5, 0.0]], [[0.0, 0.4, 0.6]],
+                               [[0.0, 0.0, 1.0]]],
+                    arities=(3,))
+    seqs = [np.array(s).reshape(-1, 1) for s in
+            ([2, 0], [0], [1, 2, 2, 0, 1], [1, -1, 2, 2], [0, 0, 1, 2], [1, 1])]
+    impossible = np.array([True, False, True, False, False, False])
+    with np.errstate(divide="ignore"):
+        want = np.array([path_enumeration_loglik(h, s) for s in seqs])
+    assert (np.isneginf(want) == impossible).all()
+    got = hmm_dataset_loglik(h, seqs)
+    assert (got[impossible] == -np.inf).all()
+    np.testing.assert_allclose(got[~impossible], want[~impossible],
+                               rtol=0, atol=1e-12)
+
+
+def test_baum_welch_without_smoothing_leaves_unseen_symbol_at_zero():
+    h = DiscreteHmm(initial=[0.5, 0.5], transition=[[0.8, 0.2], [0.3, 0.7]],
+                    emissions=[[[0.9, 0.1, 0.0]], [[0.2, 0.8, 0.0]]],
+                    arities=(3,))
+    rng = np.random.default_rng(13)
+    data = [hmm_sample(h, T, rng) for T in (12, 3, 7, 1, 9)]
+    fitted, trace = baum_welch(data, 2, (3,), iterations=20, alpha=0.0, tol=0.0)
+    for table in (fitted.initial, fitted.transition, fitted.emissions):
+        assert np.isfinite(table).all()
+    np.testing.assert_array_equal(fitted.emissions[:, 0, 2], 0.0)
+    assert np.isfinite(trace).all() and len(trace) == 20
+    assert (np.diff(trace) >= -1e-8).all()
+
+
 def test_loglik_with_missing_values():
     rng = np.random.default_rng(5)
     h = random_hmm(2, (2, 2), rng)

@@ -3,9 +3,8 @@ import pytest
 
 from dspn.graph import GraphBuilder, check_validity
 from dspn.inference import (DisjointnessError, Evidence, ZeroEvidence,
-                            backprop, backward, conditional_query, evaluate,
-                            forward, log_likelihood, sum_edge_statistics,
-                            weight_gradients)
+                            backward, conditional_query, forward,
+                            sum_edge_statistics)
 from helpers import enumeration_loglik, random_evidence, random_valid_spn
 
 
@@ -15,17 +14,30 @@ def single_sum(w=0.3):
     return b.build([root]), root
 
 
+def root_log(g, ev):
+    return forward(g, ev.values)[g.roots[0], 0]
+
+
+def edge_pass(g, ev):
+    """Forward log-values, log-derivatives and edge statistics of one
+    evidence row."""
+    values = forward(g, ev.values)
+    derivs = backward(g, values)
+    stats = sum_edge_statistics(g, values, derivs, values[g.roots[0]])
+    return values[:, 0], derivs[:, 0], stats
+
+
 def test_sum_selects_matching_weight():
     g, _ = single_sum(0.3)
-    assert evaluate(g, Evidence.observing(1, {0: 1}))[0] == pytest.approx(np.log(0.3))
-    assert evaluate(g, Evidence.observing(1, {0: 0}))[0] == pytest.approx(np.log(0.7))
+    assert root_log(g, Evidence.observing(1, {0: 1})) == pytest.approx(np.log(0.3))
+    assert root_log(g, Evidence.observing(1, {0: 0})) == pytest.approx(np.log(0.7))
 
 
 def test_full_marginalization_gives_one():
     rng = np.random.default_rng(0)
     for _ in range(20):
         g = random_valid_spn(int(rng.integers(2, 7)), rng)
-        lz = evaluate(g, Evidence.marginalized(g.n_vars))[0]
+        lz = root_log(g, Evidence.marginalized(g.n_vars))
         assert abs(lz) < 1e-9
 
 
@@ -34,7 +46,7 @@ def test_matches_enumeration_oracle():
     for _ in range(40):
         g = random_valid_spn(8, rng)
         ev = random_evidence(8, g.arities, rng)
-        got = evaluate(g, ev)[0]
+        got = root_log(g, ev)
         want = enumeration_loglik(g, ev)
         assert got == pytest.approx(want, rel=1e-9)
 
@@ -44,7 +56,7 @@ def test_completion_sweep_sums_to_evidence_value():
     g = random_valid_spn(6, rng)
     ev = random_evidence(6, g.arities, rng, p_observed=0.4)
     assert enumeration_loglik(g, ev) == pytest.approx(
-        evaluate(g, ev)[0], rel=1e-9)
+        root_log(g, ev), rel=1e-9)
 
 
 def test_each_node_visited_once():
@@ -63,7 +75,7 @@ def test_conditional_of_empty_given_is_marginal():
     g = random_valid_spn(4, rng)
     q = Evidence.observing(4, {1: 1})
     p = conditional_query(g, q, Evidence.marginalized(4))
-    assert p == pytest.approx(np.exp(evaluate(g, q)[0]), rel=1e-12)
+    assert p == pytest.approx(np.exp(root_log(g, q)), rel=1e-12)
 
 
 def test_conditional_rejects_overlap():
@@ -96,20 +108,22 @@ def test_zero_evidence_raises():
 
 
 def test_backprop_trivial_sum():
+    # d log S / d w = stats / w: 1 / 0.3 on the matching edge, 0 elsewhere
     g, root = single_sum(0.3)
-    res = backprop(g, Evidence.observing(1, {0: 1}))
-    grads = weight_gradients(g, res.log_values[:, None], res.log_derivs[:, None])
-    np.testing.assert_allclose(grads[root], [1.0, 0.0], atol=1e-12)
+    _, _, stats = edge_pass(g, Evidence.observing(1, {0: 1}))
+    grads = stats[root] / g.nodes[root].weights
+    np.testing.assert_allclose(grads, [1.0 / 0.3, 0.0], atol=1e-12)
 
 
 def test_gradients_match_finite_differences():
+    # edge statistics divided by the weights are the log-likelihood
+    # gradients
     rng = np.random.default_rng(7)
     for _ in range(100):
         g = random_valid_spn(int(rng.integers(2, 6)), rng)
         ev = random_evidence(g.n_vars, g.arities, rng)
-        res = backprop(g, ev)
-        grads = weight_gradients(g, res.log_values[:, None],
-                                 res.log_derivs[:, None])
+        _, _, stats = edge_pass(g, ev)
+        grads = {i: stats[i] / g.nodes[i].weights for i in g.sum_ids()}
         h = 1e-5
         for i in g.sum_ids():
             w0 = g.nodes[i].weights.copy()
@@ -117,10 +131,10 @@ def test_gradients_match_finite_differences():
                 w = w0.copy()
                 w[j] = w0[j] + h
                 g.set_weights(i, w)
-                hi = np.exp(evaluate(g, ev)[0])
+                hi = root_log(g, ev)
                 w[j] = w0[j] - h
                 g.set_weights(i, w)
-                lo = np.exp(evaluate(g, ev)[0])
+                lo = root_log(g, ev)
                 g.set_weights(i, w0)
                 fd = (hi - lo) / (2 * h)
                 scale = max(abs(fd), abs(grads[i][j]), 1e-8)
@@ -134,15 +148,15 @@ def test_edge_statistics_are_posteriors():
     for _ in range(20):
         g = random_valid_spn(4, rng)
         ev = random_evidence(4, g.arities, rng, p_observed=0.5)
-        res = backprop(g, ev)
+        values, derivs, edge_stats = edge_pass(g, ev)
         root = g.roots[0]
         if g.nodes[root].kind.name == "SUM":
-            assert res.edge_stats[root].sum() == pytest.approx(1.0, rel=1e-9)
-        for i, stats in res.edge_stats.items():
+            assert edge_stats[root].sum() == pytest.approx(1.0, rel=1e-9)
+        for i, stats in edge_stats.items():
             # responsibility of node i = w-weighted children mass over S
-            d_i = res.log_derivs[i]
-            v_i = res.log_values[i]
-            S = res.log_values[root]
+            d_i = derivs[i]
+            v_i = values[i]
+            S = values[root]
             expected = np.exp(d_i + v_i - S)
             assert stats.sum() == pytest.approx(expected, rel=1e-8, abs=1e-12)
 

@@ -1,7 +1,8 @@
 """The layered kernels against the per-node reference recursion and joint
 enumeration, plus the compiled layers' weight cache.
 
-Every test here fails on any RuntimeWarning, so a pass that produces NaN
+Like every test in the suite (``filterwarnings`` in ``pyproject.toml``),
+these fail on any RuntimeWarning, so a pass that produces NaN
 (``-inf - -inf``) or an unguarded log(0) is caught even where it would
 not change the result.
 """
@@ -21,8 +22,6 @@ from helpers import (enumeration_loglik, random_invariant_model,
                      random_valid_spn, reference_backward,
                      reference_edge_statistics, reference_forward,
                      unrolled_reference_statistics)
-
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 REL = 1e-9
 # Above this many completions the enumeration oracle is skipped.

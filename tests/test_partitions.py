@@ -7,8 +7,7 @@ from dspn.partitions import (INTERFACE_ELEMENT, CursorStore,
                              IndependenceOracle, InsufficientData, Partition,
                              RgsCursor, bell_number, decode_rgs, encode_rgs,
                              get_partition, independent_components,
-                             next_partition, random_partition,
-                             unrank_partition)
+                             random_partition, unrank_partition)
 from helpers import bell_triangle
 
 BELLS_1_TO_8 = [1, 2, 5, 15, 52, 203, 877, 4140]
@@ -17,7 +16,7 @@ BELLS_1_TO_8 = [1, 2, 5, 15, 52, 203, 877, 4140]
 def enumerate_all(ground):
     cursor = RgsCursor(ground)
     out = []
-    while (p := next_partition(cursor)) is not None:
+    while (p := cursor.next_partition()) is not None:
         out.append(p)
     return out
 
@@ -37,8 +36,8 @@ def test_three_element_lexicographic_order():
 
 def test_singleton_ground_set():
     cursor = RgsCursor([7])
-    assert next_partition(cursor).blocks == ((7,),)
-    assert next_partition(cursor) is None
+    assert cursor.next_partition().blocks == ((7,),)
+    assert cursor.next_partition() is None
 
 
 def test_counts_match_bell_numbers():
