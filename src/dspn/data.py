@@ -1,4 +1,4 @@
-"""Sequence-dataset ingestion, splits, discretization, and on-disk formats.
+"""Sequence-dataset ingestion, splits, and on-disk formats.
 
 Dataset files (``.seqs``) are line-delimited UTF-8 text: a one-line JSON
 header ``{"n": ..., "arities": [...], "name": ...}`` followed by one JSON
@@ -10,7 +10,6 @@ Model files (``.spn``, ``.dspn``, ``.hmm``) are single JSON documents.
 from __future__ import annotations
 
 import json
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,10 +32,6 @@ class ArityViolation(ValueError):
         super().__init__(f"sequence {sequence}, slice {slice_idx}, var {var}: "
                          f"value {value} out of range")
         self.location = (sequence, slice_idx, var)
-
-
-class ConstantColumnWarning(UserWarning):
-    pass
 
 
 @dataclass
@@ -135,50 +130,6 @@ def fold_indices(n: int, folds: int) -> list[np.ndarray]:
     if folds < 2 or folds > n:
         raise ValueError("fold count must be in [2, number of sequences]")
     return [idx for idx in np.array_split(np.arange(n), folds)]
-
-
-def learn_thresholds(raw_sequences, bins: int) -> list[np.ndarray]:
-    """Per-variable equal-frequency cut points (upper-inclusive bin edges)."""
-    if bins < 2:
-        raise ValueError("need at least 2 bins")
-    columns = np.concatenate([np.asarray(s, dtype=float) for s in raw_sequences],
-                             axis=0)
-    thresholds = []
-    for v in range(columns.shape[1]):
-        col = np.sort(columns[:, v])
-        m = col.size
-        if col[0] == col[-1]:
-            warnings.warn(f"variable {v} is constant; using a single bin",
-                          ConstantColumnWarning)
-            thresholds.append(np.empty(0))
-            continue
-        cuts = []
-        for b in range(1, bins):
-            # last element of bin b-1 under the rank rule floor(rank*bins/m)
-            first_of_b = int(np.ceil(b * m / bins))
-            cuts.append(col[first_of_b - 1])
-        thresholds.append(np.asarray(cuts))
-    return thresholds
-
-
-def apply_thresholds(raw_sequences, thresholds) -> SequenceDataset:
-    arities = tuple(len(t) + 1 for t in thresholds)
-    out = []
-    for s in raw_sequences:
-        s = np.asarray(s, dtype=float)
-        binned = np.empty(s.shape, dtype=np.int64)
-        for v, cuts in enumerate(thresholds):
-            binned[:, v] = np.searchsorted(cuts, s[:, v], side="left")
-        out.append(binned)
-    return SequenceDataset(out, arities, name="discretized")
-
-
-def discretize(raw_sequences, bins: int) \
-        -> tuple[SequenceDataset, list[np.ndarray]]:
-    """Equal-frequency binning; returns the dataset and the learned
-    thresholds so the same cuts can be re-applied later."""
-    thresholds = learn_thresholds(raw_sequences, bins)
-    return apply_thresholds(raw_sequences, thresholds), thresholds
 
 
 # -- model documents ---------------------------------------------------------

@@ -24,7 +24,7 @@ import numpy as np
 
 from .graph import (GraphBuilder, GraphError, Node, NodeKind, Scope, SpnGraph,
                     ValidityReport, check_validity, compute_scopes)
-from .inference import LOG_ZERO, forward
+from .inference import LOG_ZERO, _logsumexp_rows, forward
 
 
 class DegenerateTemplate(GraphError):
@@ -355,31 +355,27 @@ def derive_bottom(template: TemplateNetwork) -> BottomNetwork:
 
 
 # ---------------------------------------------------------------------------
-# unrolling and composition
+# unrolling
 # ---------------------------------------------------------------------------
 
 def _copy_into(builder: GraphBuilder, src: SpnGraph, var_offset: int,
-               input_map: dict[int, int] | None,
-               provenance: list | None, tag: tuple) -> dict[int, int]:
+               input_map: dict[int, int], provenance: list,
+               tag: tuple) -> dict[int, int]:
     """Emit a copy of ``src`` into ``builder``, shifting indicator variables
     and splicing interface inputs onto ``input_map`` targets."""
     local: dict[int, int] = {}
     for i in src.topo_order:
         nd = src.nodes[i]
         if nd.kind == NodeKind.INPUT:
-            if input_map is None:
-                local[i] = builder.interface_input(nd.slot)
-            else:
-                local[i] = input_map[nd.slot]
-                continue  # merged node, owned by the layer below
-        elif nd.kind == NodeKind.INDICATOR:
+            local[i] = input_map[nd.slot]
+            continue  # merged node, owned by the layer below
+        if nd.kind == NodeKind.INDICATOR:
             local[i] = builder.indicator(nd.var + var_offset, nd.value)
         elif nd.kind == NodeKind.SUM:
             local[i] = builder.sum([local[c] for c in nd.children], nd.weights.copy())
         else:
             local[i] = builder.product([local[c] for c in nd.children])
-        if provenance is not None:
-            provenance.append(tag + (i,))
+        provenance.append(tag + (i,))
     return local
 
 
@@ -392,7 +388,7 @@ def unroll_with_provenance(m: DspnModel, T: int) -> tuple[SpnGraph, list[tuple]]
     n = m.n_vars
     builder = GraphBuilder(n * T, m.arities * T, 0)
     prov: list[tuple] = []
-    local = _copy_into(builder, m.bottom.graph, 0, None, prov, ("bottom", 0))
+    local = _copy_into(builder, m.bottom.graph, 0, {}, prov, ("bottom", 0))
     lower_roots = [local[r] for r in m.bottom.graph.roots]
     for t in range(1, T):
         input_map = {s: lower_roots[m.f_map[s]] for s in range(m.k)}
@@ -409,26 +405,21 @@ def unroll(m: DspnModel, T: int) -> SpnGraph:
     return unroll_with_provenance(m, T)[0]
 
 
-def compose_templates(template: TemplateNetwork, copies: int) -> TemplateNetwork:
-    """Stack ``copies`` template copies into one wider-slice template whose
-    inputs are copy 1's inputs and whose roots are the last copy's roots."""
-    if copies < 1:
-        raise ValueError("need at least one copy")
-    n = template.n_vars
-    g = template.graph
-    builder = GraphBuilder(n * copies, g.arities * copies, template.k)
-    local = _copy_into(builder, g, 0, None, None, ("template", 0))
-    roots = [local[r] for r in g.roots]
-    for t in range(1, copies):
-        input_map = {s: roots[template.f_map[s]] for s in range(template.k)}
-        local = _copy_into(builder, g, t * n, input_map, None, ("template", t))
-        roots = [local[r] for r in g.roots]
-    return TemplateNetwork(builder.build(roots), template.f_map)
-
-
 # ---------------------------------------------------------------------------
 # rolling evaluation
 # ---------------------------------------------------------------------------
+
+# Template node-rows (nodes x slices x rows) per stacked template call: the
+# edge statistics of ``collect_statistics`` and the basis forward of
+# ``_transfer_loglik``.
+_STACKED_NODE_ROWS = 1 << 18
+
+
+def _stacked_span(nodes: int, rows: int) -> int:
+    """Slices per stacked template call for a template of ``nodes`` nodes
+    at ``rows`` rows per slice: at least one, within ``_STACKED_NODE_ROWS``."""
+    return max(1, _STACKED_NODE_ROWS // (nodes * max(1, rows)))
+
 
 @dataclass
 class SequenceBatch:
@@ -448,15 +439,21 @@ class SequenceBatch:
                                                        np.diff(self.starts))
 
 
+def _as_slices(seq, n_vars: int) -> np.ndarray:
+    """One sequence as a (T, n_vars) int64 array with T >= 1."""
+    s = np.asarray(seq, dtype=np.int64)
+    if len(s) < 1:
+        raise EmptySequence("sequence has no slices")
+    if s.ndim != 2 or s.shape[1] != n_vars:
+        raise ValueError(f"every slice must carry {n_vars} variables")
+    return s
+
+
 def pack_sequences(sequences, n_vars: int) -> SequenceBatch:
     """Pack (T_i, n_vars) sequences, values or -1 for marginalized, into
     one :class:`SequenceBatch`."""
-    seqs = [np.asarray(s, dtype=np.int64) for s in sequences]
+    seqs = [_as_slices(s, n_vars) for s in sequences]
     lengths = np.array([len(s) for s in seqs], dtype=np.int64)
-    if (lengths < 1).any():
-        raise EmptySequence("sequence has no slices")
-    if any(s.ndim != 2 or s.shape[1] != n_vars for s in seqs):
-        raise ValueError(f"every slice must carry {n_vars} variables")
     order = np.argsort(-lengths, kind="stable")
     lengths = lengths[order]
     running = lengths > np.arange(lengths.max(initial=1))[:, None]  # (T, rows)
@@ -503,16 +500,50 @@ def rolling_forward(m: DspnModel, batch: SequenceBatch,
     return loglik, None
 
 
+def _transfer_loglik(m: DspnModel, slices: np.ndarray) -> float:
+    """Log-likelihood of one sequence as a chain of k x k transfer matrices,
+    for a template and top linear in their interface inputs.
+
+    Slice t maps the interface state by a log-matrix M_t: M_t[i, j] is the
+    value of root f_map[i] under the log-basis input that is 0 on slot j
+    and -inf elsewhere, and the next state is logsumexp_j(M_t[i, j] +
+    state[j]).  One template forward over a block of slices, each repeated
+    k times against the basis, gives every M_t of the block; blocks hold at
+    most ``_STACKED_NODE_ROWS`` node-rows, so memory does not grow with
+    the length.  The chain then runs one log-sum-exp step per slice, in
+    order, and the top root under the basis closes it."""
+    k, f = m.k, m.f_map
+    tmpl = m.template.graph
+    basis = np.where(np.eye(k, dtype=bool), 0.0, LOG_ZERO)
+    state = forward(m.bottom.graph, slices[:1])[
+        [m.bottom.graph.roots[f[s]] for s in range(k)], 0]
+    roots = [tmpl.roots[f[s]] for s in range(k)]
+    span = _stacked_span(len(tmpl), k)
+    with np.errstate(divide="ignore"):
+        for lo in range(1, len(slices), span):
+            block = slices[lo:lo + span]
+            vals = forward(tmpl, np.repeat(block, k, axis=0), np.tile(basis, len(block)))
+            for mat in vals[roots].reshape(k, len(block), k).transpose(1, 0, 2):
+                state = _logsumexp_rows(mat + state)
+        top = forward(m.top.graph, np.full((k, m.top.graph.n_vars), -1), basis)
+        return float(_logsumexp_rows(top[m.top.graph.roots[0]] + state[None])[0])
+
+
 def sequence_loglik(m: DspnModel, seq) -> float:
     """Exact log-likelihood of one sequence of slices (values or -1 for
     marginalized), computed without materializing the unrolled circuit."""
-    loglik, _ = rolling_forward(m, pack_sequences([seq], m.n_vars))
-    return float(loglik[0])
+    return float(dataset_logliks(m, [seq])[0])
 
 
 def dataset_logliks(m: DspnModel, sequences) -> np.ndarray:
-    """Per-sequence log-likelihoods in input order, from one rolling pass
-    over all sequences packed into one batch."""
+    """Per-sequence log-likelihoods in input order.  One sequence under a
+    template and top linear in their inputs is a chain of transfer
+    matrices (:func:`_transfer_loglik`); any other batch is one rolling
+    pass over all sequences packed into one batch."""
+    sequences = list(sequences)
+    if len(sequences) == 1 and m.template.graph.compiled().inputs_linear \
+            and m.top.graph.compiled().inputs_linear:
+        return np.array([_transfer_loglik(m, _as_slices(sequences[0], m.n_vars))])
     batch = pack_sequences(sequences, m.n_vars)
     loglik, _ = rolling_forward(m, batch)
     out = np.empty_like(loglik)

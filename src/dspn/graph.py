@@ -370,7 +370,8 @@ class CompiledGraph:
     written by leaves or earlier layers and reduces a rectangular block.
     Sum weights live in one flat log-weight vector, parallel to the sum
     edges in layer order, which :meth:`SpnGraph.set_weights` refreshes.
-    Built by :meth:`SpnGraph.compiled` in O((n + e) log n).
+    ``inputs_linear`` says whether every root is linear in the interface
+    inputs.  Built by :meth:`SpnGraph.compiled` in O((n + e) log n).
     """
 
     def __init__(self, g: SpnGraph):
@@ -419,6 +420,21 @@ class CompiledGraph:
             self.layers.append(Layer(
                 NodeKind(kind[order[a]]), order[a:b], children[ea:eb],
                 int(counts[a]), slice(w0, w0 + eb - ea) if is_sum[a] else slice(0, 0)))
+
+        # -- linearity in the interface inputs: every root reaches an input,
+        # no product has two children that do, and no sum mixes children
+        # that do with children that do not.  Then each root is a linear
+        # function of the inputs' linear-domain values.
+        reach = kind == NodeKind.INPUT
+        linear = True
+        for layer in self.layers:
+            hits = reach[layer.children].reshape(len(layer.ids), layer.width).sum(axis=1)
+            if layer.kind == NodeKind.PRODUCT:
+                linear &= bool((hits <= 1).all())
+            else:
+                linear &= bool(((hits == 0) | (hits == layer.width)).all())
+            reach[layer.ids] = hits > 0
+        self.inputs_linear = linear and bool(reach[g.roots].all())
 
         self.sum_ids = order[is_sum].tolist()
         self.sum_parents = parents[sum_edge]

@@ -18,13 +18,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamic import DspnModel, pack_sequences, rolling_forward
+from .dynamic import DspnModel, _stacked_span, pack_sequences, rolling_forward
 from .graph import SpnGraph
 from .inference import backward, sum_edge_statistics
-
-
-# Template node-rows (nodes x slices x sequences) per edge-statistics call.
-_STACKED_NODE_ROWS = 1 << 18
 
 
 class NumericalUnderflow(ArithmeticError):
@@ -106,7 +102,7 @@ def collect_statistics(m: DspnModel, sequences) -> TiedStatistics:
     # a block of ``span`` slices is counted once its lowest slice is done
     starts = (batch.starts - rows).tolist()
     log_norm = loglik[batch.row_index()[rows:]]
-    span = max(1, _STACKED_NODE_ROWS // (len(tmpl_g) * max(1, rows)))
+    span = _stacked_span(len(tmpl_g), rows)
     stacked = np.empty((len(tmpl_g), min(span * rows, starts[-1])))
     for t in range(len(starts) - 2, 0, -1):
         lo, hi = starts[t], starts[t + 1]

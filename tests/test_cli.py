@@ -317,6 +317,48 @@ def test_conditional_on_mixed_lengths_matches_unrolled(workdir, capsys):
         assert float(row[4]) == pytest.approx(want, rel=1e-9)
 
 
+def test_one_sequence_file_matches_its_row_and_the_unrolled_circuit(workdir,
+                                                                   capsys):
+    # a one-sequence file is scored by the transfer-matrix chain, a
+    # multi-sequence file by the rolling pass
+    from dspn.data import SequenceDataset
+    from dspn.inference import Evidence, conditional_query, log_likelihood
+    m = small_model(seed=10, n=2, k=3)
+    assert m.template.graph.compiled().inputs_linear
+    assert m.top.graph.compiled().inputs_linear
+    mpath = workdir / "m.dspn"
+    save_model(m, mpath)
+    rng = np.random.default_rng(10)
+    seqs = [rng.integers(-1, 2, (T, 2)) for T in (5, 1, 7, 3)]
+    for s in seqs:
+        s[0] = -1  # the query and conditioning variables
+    many = workdir / "many.seqs"
+    save_dataset(SequenceDataset(seqs, (2, 2)), many)
+    conditional = ("--query", "0=1", "--given", "1=0")
+
+    def rows(path, *flags):
+        code, out, _ = run_cli(capsys, "infer", mpath, path, *flags)
+        assert code == 0
+        return [[float(x) for x in line.split(",")]
+                for line in out.strip().splitlines()[1:]]
+
+    plain_rows, cond_rows = rows(many), rows(many, *conditional)
+    for i, seq in enumerate(seqs):
+        one = workdir / f"one{i}.seqs"
+        save_dataset(SequenceDataset([seq], (2, 2)), one)
+        [plain], [cond] = rows(one), rows(one, *conditional)
+        # rows print 12 significant digits
+        assert plain[1:] == pytest.approx(plain_rows[i][1:], rel=1e-11)
+        assert cond[1:] == pytest.approx(cond_rows[i][1:], rel=1e-11)
+        flat = seq.reshape(-1)
+        g = unroll(m, len(seq))
+        assert plain[2] == pytest.approx(log_likelihood(g, Evidence(flat)),
+                                         rel=1e-9)
+        given = Evidence(flat).merge(Evidence.observing(flat.size, {1: 0}))
+        want = conditional_query(g, Evidence.observing(flat.size, {0: 1}), given)
+        assert cond[4] == pytest.approx(want, rel=1e-9)
+
+
 @pytest.mark.parametrize("command", ["infer", "learn-params"])
 def test_dataset_values_outside_model_arities_fail(workdir, capsys, command):
     # the dataset's header allows a 2 that the binary model does not

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from dspn.data import (ArityViolation, ConstantColumnWarning, ParseError,
-                       SequenceDataset, apply_thresholds, discretize,
+from dspn.data import (ArityViolation, ParseError, SequenceDataset,
                        fold_indices, load_dataset, save_dataset, split)
 
 
@@ -99,44 +98,6 @@ def test_fold_indices_partition_everything():
     blocks = fold_indices(11, 3)
     joined = np.concatenate(blocks)
     np.testing.assert_array_equal(np.sort(joined), np.arange(11))
-
-
-def test_discretize_median_split():
-    rng = np.random.default_rng(5)
-    raw = [rng.normal(size=(50, 1)) for _ in range(8)]
-    ds, thresholds = discretize(raw, bins=2)
-    pooled = np.concatenate(raw)[:, 0]
-    binned = np.concatenate([s[:, 0] for s in ds.sequences])
-    assert abs((binned == 0).sum() - (binned == 1).sum()) <= 1
-    assert thresholds[0].shape == (1,)
-    assert np.quantile(pooled, 0.45) < thresholds[0][0] < np.quantile(pooled, 0.55)
-
-
-def test_equal_frequency_populations():
-    rng = np.random.default_rng(6)
-    raw = [rng.normal(size=(97, 3))]
-    ds, _ = discretize(raw, bins=4)
-    pooled = np.concatenate([s for s in ds.sequences])
-    for v in range(3):
-        counts = np.bincount(pooled[:, v], minlength=4)
-        assert counts.max() - counts.min() <= 1
-
-
-def test_reapplying_thresholds_is_idempotent():
-    rng = np.random.default_rng(7)
-    raw = [rng.normal(size=(30, 2)) for _ in range(5)]
-    ds, thresholds = discretize(raw, bins=3)
-    again = apply_thresholds(raw, thresholds)
-    for a, b in zip(ds.sequences, again.sequences):
-        np.testing.assert_array_equal(a, b)
-
-
-def test_constant_column_falls_back_to_single_bin():
-    raw = [np.stack([np.ones(20), np.arange(20.0)], axis=1)]
-    with pytest.warns(ConstantColumnWarning):
-        ds, thresholds = discretize(raw, bins=2)
-    assert ds.arities == (1, 2)
-    assert (ds.sequences[0][:, 0] == 0).all()
 
 
 def test_missing_values_round_trip(tmp_path):

@@ -5,8 +5,8 @@ import pytest
 
 from dspn.dynamic import (BottomNetwork, DegenerateTemplate, DspnModel,
                           EmptySequence, ScopeAssignment, TemplateNetwork,
-                          TopNetwork, check_invariance, compose_templates,
-                          dataset_logliks, derive_bottom, sample,
+                          TopNetwork, check_invariance, dataset_logliks,
+                          derive_bottom, sample,
                           sequence_loglik, unroll, unroll_with_provenance,
                           verify_model_validity)
 from dspn.graph import (GraphBuilder, NodeKind, Scope, check_validity,
@@ -133,17 +133,6 @@ def test_random_models_unroll_validly():
         assert verify_model_validity(m).ok
         for T in (1, 2, 3, 7):
             assert check_validity(unroll(m, T)).ok
-
-
-def test_stacked_templates_stay_invariant():
-    rng = np.random.default_rng(11)
-    for _ in range(10):
-        m = random_invariant_model(int(rng.integers(1, 4)),
-                                   int(rng.integers(1, 4)), rng)
-        assignment, _ = _assignment_of(m)
-        for j in (2, 5, 10):
-            stacked = compose_templates(m.template, j)
-            assert check_invariance(stacked, assignment).ok
 
 
 # -- bottom derivation ------------------------------------------------------------

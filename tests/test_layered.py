@@ -11,10 +11,11 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from dspn import training
-from dspn.dynamic import (dataset_logliks, pack_sequences, rolling_forward,
-                          unroll)
+from dspn import dynamic
+from dspn.dynamic import (dataset_logliks, induced_assignment, pack_sequences,
+                          rolling_forward, sequence_loglik, unroll)
 from dspn.graph import GraphBuilder
+from dspn.hmm import hmm_sample, hmm_to_model, random_hmm
 from dspn.inference import Evidence, backward, forward, sum_edge_statistics
 from dspn.training import (NumericalUnderflow, TrainConfig,
                            collect_statistics, em_step)
@@ -139,7 +140,7 @@ def test_template_statistics_in_blocks_of_slices(monkeypatch, span):
     m = random_invariant_model(2, 2, rng)
     for lengths in ((6, 6, 6), (9, 2, 6, 1, 6), (1, 1, 1), (12, 1, 2, 1, 1, 3), ()):
         seqs = [evidence_rows(rng, m.arities, [0.7] * T) for T in lengths]
-        monkeypatch.setattr(training, "_STACKED_NODE_ROWS",
+        monkeypatch.setattr(dynamic, "_STACKED_NODE_ROWS",
                             span * len(m.template.graph) * max(1, len(seqs)))
         assert_tied_statistics_exact(m, seqs)
     tied = collect_statistics(m, [])
@@ -161,6 +162,141 @@ def test_backward_seeds_roots_that_have_parents(roots):
     seeds = np.random.default_rng(25).normal(size=(len(roots), len(ev)))
     values = forward(g, ev)
     assert_close(backward(g, values, seeds), reference_backward(g, values, seeds))
+
+
+# ---------------------------------------------------------------------------
+# one sequence: the transfer-matrix chain
+# ---------------------------------------------------------------------------
+
+def rolled(m, seq):
+    return rolling_forward(m, pack_sequences([seq], m.n_vars))[0][0]
+
+
+def unrolled(m, seq):
+    g = unroll(m, len(seq))
+    return reference_forward(g, seq.reshape(-1))[g.roots[0], 0]
+
+
+@given(seed=seeds, n_vars=st.integers(1, 3), k=st.integers(1, 3),
+       T=st.integers(1, 6), zero_weight=st.booleans())
+def test_one_row_path_matches_rolling_and_unrolled(seed, n_vars, k, T,
+                                                   zero_weight):
+    # each slice all missing, partly observed or fully observed; T=1, k=1
+    # and zeroed weights included
+    rng = np.random.default_rng(seed)
+    m = random_invariant_model(n_vars, k, rng)
+    if zero_weight:
+        zero_one_weight(m.template.graph, rng)
+    seq = evidence_rows(rng, m.arities, rng.choice([0.0, 0.5, 1.0], T))
+    got = dataset_logliks(m, [seq])
+    assert got.shape == (1,)
+    assert_close(got[0], unrolled(m, seq))
+    assert_close(got[0], rolled(m, seq))
+    assert sequence_loglik(m, seq) == got[0]
+    # every root mixes one class's inputs; only the top multiplies classes
+    classes = len(set(induced_assignment(m)[0].atom_of_slot))
+    assert m.template.graph.compiled().inputs_linear
+    assert m.top.graph.compiled().inputs_linear == (classes == 1)
+    if classes > 1:  # products of inputs: the rolling pass, bit for bit
+        assert got[0] == rolled(m, seq)
+
+
+@given(seed=seeds, states=st.integers(1, 4), T=st.integers(1, 40),
+       rate=st.sampled_from([0.0, 0.05, 0.5, 1.0]))
+def test_one_row_path_matches_hmm_encoding(seed, states, T, rate):
+    rng = np.random.default_rng(seed)
+    m = hmm_to_model(random_hmm(states, (2, 3), rng))
+    assert m.template.graph.compiled().inputs_linear
+    assert m.top.graph.compiled().inputs_linear
+    seq = hmm_sample(random_hmm(states, (2, 3), rng), T, rng)
+    seq[rng.random(seq.shape) < rate] = -1
+    got = sequence_loglik(m, seq)
+    assert_close(got, rolled(m, seq))
+    assert_close(got, unrolled(m, seq))
+
+
+@pytest.mark.parametrize("span", [1, 2, 3, 7])
+def test_one_row_path_in_blocks_of_slices(monkeypatch, span):
+    # the basis forward runs span slices at a time; T=7 gives 6 template
+    # slices: one per call, uneven blocks, exactly one block
+    rng = np.random.default_rng(27)
+    m = hmm_to_model(random_hmm(3, (2, 2), rng))
+    seq = evidence_rows(rng, m.arities, [0.8] * 7)
+    want = rolled(m, seq)
+    monkeypatch.setattr(dynamic, "_STACKED_NODE_ROWS",
+                        span * len(m.template.graph) * m.k)
+    assert_close(sequence_loglik(m, seq), want)
+
+
+def test_one_row_path_scores_impossible_evidence_minus_inf():
+    # EM without smoothing zeroes the weight of a value never seen
+    rng = np.random.default_rng(28)
+    for m in (random_invariant_model(1, 2, rng), random_invariant_model(1, 1, rng)):
+        unseen = [np.zeros((T, 1), dtype=np.int64) for T in (2, 3)]
+        for _ in range(2):
+            em_step(m, unseen, TrainConfig(iterations=1, laplace_alpha=0.0))
+        for seq in ([[1]], [[0], [1]], [[0], [1], [0]], [[0], [-1], [0]]):
+            seq = np.array(seq)
+            got = sequence_loglik(m, seq)
+            assert not np.isnan(got)
+            assert np.isneginf(got) == (seq == 1).any()
+            assert_close(got, rolled(m, seq))
+            assert_close(got, unrolled(m, seq))
+
+
+def test_one_row_path_sees_set_weights():
+    rng = np.random.default_rng(29)
+    m = hmm_to_model(random_hmm(3, (2, 2), rng))
+    seq = evidence_rows(rng, m.arities, [0.7] * 9)
+    before = sequence_loglik(m, seq)  # compiles all three parts
+    for part in (m.bottom.graph, m.template.graph, m.top.graph):
+        for i in part.sum_ids():
+            part.set_weights(i, rng.dirichlet(np.ones(len(part.nodes[i].children))))
+    after = sequence_loglik(m, seq)
+    assert after != before
+    assert_close(after, unrolled(m, seq))
+    assert_close(after, rolled(m, seq))
+
+
+@pytest.mark.parametrize("roots, linear", [
+    (lambda b, x, leaf, mix: [b.product([leaf, mix])], True),
+    (lambda b, x, leaf, mix: [x[0], b.product([x[1], leaf])], True),
+    (lambda b, x, leaf, mix: [b.product(x)], False),  # product of inputs
+    (lambda b, x, leaf, mix: [b.sum([x[0], leaf], [0.5, 0.5]), mix],
+     False),  # a sum mixing an input with a constant
+    (lambda b, x, leaf, mix: [mix, leaf], False),  # a root without inputs
+])
+def test_linearity_in_inputs(roots, linear):
+    b = GraphBuilder(1, (2,), 2)
+    x = [b.interface_input(0), b.interface_input(1)]
+    leaf = b.sum([b.indicator(0, 0), b.indicator(0, 1)], [0.4, 0.6])
+    mix = b.sum(x, [0.5, 0.5])
+    assert b.build(roots(b, x, leaf, mix)).compiled().inputs_linear == linear
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_one_row_scores_after_unsmoothed_em_are_finite(seed):
+    # four states over three binary variables, EM without smoothing, and
+    # ten held-out sequences of lengths 20-120 with 5% missing: each
+    # scored alone is finite and equals its row of the ten-row batch
+    rng = np.random.default_rng(seed)
+    gen = random_hmm(4, (2, 2, 2), rng)
+    m = hmm_to_model(gen)
+    lengths = np.rint(np.linspace(20, 120, 10)).astype(int)
+
+    def draw():
+        seqs = [hmm_sample(gen, int(T), rng) for T in rng.permutation(lengths)]
+        for s in seqs:
+            s[rng.random(s.shape) < 0.05] = -1
+        return seqs
+
+    train, heldout = draw(), draw()
+    for _ in range(4):
+        em_step(m, train, TrainConfig(iterations=1, laplace_alpha=0.0))
+    batch = dataset_logliks(m, heldout)
+    alone = np.array([dataset_logliks(m, [s])[0] for s in heldout])
+    assert np.isfinite(alone).all()
+    np.testing.assert_allclose(alone, batch, rtol=1e-9, atol=0)
 
 
 # ---------------------------------------------------------------------------
