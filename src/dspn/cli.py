@@ -10,6 +10,7 @@ subcommand is deterministic given ``--seed``.  Every subcommand but
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
@@ -72,12 +73,14 @@ def cmd_unroll(args) -> int:
 
 # -- infer ----------------------------------------------------------------------
 
-def _parse_assignments(text: str) -> dict[int, int]:
+def _parse_assignments(flag: str, text: str) -> dict[int, int]:
     out: dict[int, int] = {}
     for part in text.split(","):
         if not part:
             continue
         var, _, val = part.partition("=")
+        if int(val) < 0:
+            _fail(f"{flag} {part}: values are non-negative (-1 marks missing data)")
         out[int(var)] = int(val)
     return out
 
@@ -119,8 +122,8 @@ def cmd_infer(args) -> int:
         return 0
     # conditional mode: flat variable indices (slice * n_vars + var);
     # queried/conditioned variables must be unobserved in the dataset rows
-    query = _parse_assignments(args.query)
-    given = _parse_assignments(args.given) if args.given else {}
+    query = _parse_assignments("--query", args.query)
+    given = _parse_assignments("--given", args.given) if args.given else {}
     given_seqs, joint_seqs = [], []
     for i, seq in enumerate(ds.sequences):
         flat = np.asarray(seq).reshape(-1)
@@ -243,6 +246,11 @@ def _bench_fold(test_idx, ds, true_hmm, config, seed):
 def cmd_bench(args) -> int:
     with open(args.config, "r", encoding="utf-8") as fh:
         config = json.load(fh)
+    for block, cls in (("search", SearchConfig), ("train", TrainConfig)):
+        known = {f.name for f in dataclasses.fields(cls)}
+        for key in config.get(block, {}):
+            if key not in known:
+                _fail(f"bench config: unknown key {key!r} in the {block!r} block")
     seed = args.seed if args.seed is not None else config.get("seed", 0)
     folds = args.folds if args.folds is not None else config.get("folds", 10)
     rng = np.random.default_rng(seed)

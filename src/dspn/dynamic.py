@@ -8,8 +8,9 @@ fixed arities, interface width k):
   once per additional slice;
 * a top network with k interface-input leaves and a single root.
 
-Stacking merges the input leaves of the upper part with the roots of the
-part below it, through the template's slot-to-root bijection.  The
+Stacking merges input slot s of the upper part with root s of the part
+below it; a model document's slot-to-root bijection ``f_map`` is applied
+once, when it is loaded, by putting the roots in slot order.  The
 invariance conditions checked here guarantee that every such stack, for
 every sequence length, is a complete and decomposable circuit, so the
 rolling evaluation is exact and linear in sequence length.
@@ -18,8 +19,6 @@ rolling evaluation is exact and linear in sequence length.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
-
 import numpy as np
 
 from .graph import (GraphBuilder, GraphError, Node, NodeKind, Scope, SpnGraph,
@@ -71,20 +70,17 @@ class ScopeAssignment:
 
 
 class TemplateNetwork:
-    """Per-slice circuit with k interface-input leaves and k roots, plus the
-    bijection saying which root continues which input slot's role."""
+    """Per-slice circuit with k interface-input leaves and k roots; root s
+    continues input slot s's role."""
 
-    def __init__(self, graph: SpnGraph, f_map: Sequence[int] | None = None):
+    def __init__(self, graph: SpnGraph):
         self.graph = graph
         k = graph.n_interface_inputs
-        self.f_map = tuple(f_map) if f_map is not None else tuple(range(k))
         if len(graph.roots) != k:
             raise GraphError(f"template must have {k} roots, found {len(graph.roots)}")
         slots = sorted(graph.nodes[i].slot for i in graph.input_ids())
         if slots != list(range(k)):
             raise GraphError("template must carry each input slot exactly once")
-        if sorted(self.f_map) != list(range(k)):
-            raise GraphError("f_map must be a bijection onto root indices")
 
     @property
     def k(self) -> int:
@@ -170,7 +166,7 @@ def check_invariance(template: TemplateNetwork,
     report = InvarianceReport()
     input_scopes = assignment.input_scopes()
     scopes = compute_scopes(g, input_scopes)
-    out_scope = [scopes[g.roots[template.f_map[s]]] for s in range(k)]
+    out_scope = [scopes[r] for r in g.roots]
     in_scope = [input_scopes[s] for s in range(k)]
     for i in range(k):
         for j in range(i + 1, k):
@@ -251,20 +247,16 @@ class DspnModel:
     def k(self) -> int:
         return self.template.k
 
-    @property
-    def f_map(self) -> tuple[int, ...]:
-        return self.template.f_map
-
     def copy(self) -> "DspnModel":
         return DspnModel(BottomNetwork(self.bottom.graph.copy()),
-                         TemplateNetwork(self.template.graph.copy(), self.f_map),
+                         TemplateNetwork(self.template.graph.copy()),
                          TopNetwork(self.top.graph.copy()), strict=False)
 
     def to_dict(self) -> dict:
         return {
             "signature": {"n_vars": self.n_vars, "arities": list(self.arities),
                           "k": self.k},
-            "f_map": list(self.f_map),
+            "f_map": list(range(self.k)),
             "bottom": self.bottom.graph.to_dict(),
             "template": self.template.graph.to_dict(),
             "top": self.top.graph.to_dict(),
@@ -272,18 +264,27 @@ class DspnModel:
 
     @classmethod
     def from_dict(cls, doc: dict, strict: bool = True) -> "DspnModel":
-        return cls(BottomNetwork(SpnGraph.from_dict(doc["bottom"])),
-                   TemplateNetwork(SpnGraph.from_dict(doc["template"]),
-                                   doc.get("f_map")),
-                   TopNetwork(SpnGraph.from_dict(doc["top"])),
-                   strict=strict)
+        """Load a model document, putting the bottom and template roots in
+        slot order: slot s continues the role of root ``f_map[s]``."""
+        bottom = SpnGraph.from_dict(doc["bottom"])
+        template = SpnGraph.from_dict(doc["template"])
+        k = len(template.roots)
+        if len(bottom.roots) != k:
+            raise GraphError(f"bottom has {len(bottom.roots)} roots, template {k}")
+        f_map = list(doc.get("f_map", range(k)))
+        if any(type(f) is not int for f in f_map) or sorted(f_map) != list(range(k)):
+            raise GraphError("f_map must be a bijection onto root indices")
+        for g in (bottom, template):
+            g.roots = [g.roots[f] for f in f_map]
+        return cls(BottomNetwork(bottom), TemplateNetwork(template),
+                   TopNetwork(SpnGraph.from_dict(doc["top"])), strict=strict)
 
 
 def induced_assignment(m: DspnModel) -> tuple[ScopeAssignment, list[tuple[int, int]]]:
     """Group interface slots by equality of their bottom-root scopes; also
     return the slot pairs whose scopes are neither identical nor disjoint."""
     scopes = compute_scopes(m.bottom.graph)
-    slot_scope = [scopes[m.bottom.graph.roots[m.f_map[s]]] for s in range(m.k)]
+    slot_scope = [scopes[r] for r in m.bottom.graph.roots]
     atoms: list[int] = []
     classes: list[Scope] = []
     bad_pairs: list[tuple[int, int]] = []
@@ -359,15 +360,15 @@ def derive_bottom(template: TemplateNetwork) -> BottomNetwork:
 # ---------------------------------------------------------------------------
 
 def _copy_into(builder: GraphBuilder, src: SpnGraph, var_offset: int,
-               input_map: dict[int, int], provenance: list,
+               inputs: list[int], provenance: list,
                tag: tuple) -> dict[int, int]:
     """Emit a copy of ``src`` into ``builder``, shifting indicator variables
-    and splicing interface inputs onto ``input_map`` targets."""
+    and splicing interface input slot s onto node ``inputs[s]``."""
     local: dict[int, int] = {}
     for i in src.topo_order:
         nd = src.nodes[i]
         if nd.kind == NodeKind.INPUT:
-            local[i] = input_map[nd.slot]
+            local[i] = inputs[nd.slot]
             continue  # merged node, owned by the layer below
         if nd.kind == NodeKind.INDICATOR:
             local[i] = builder.indicator(nd.var + var_offset, nd.value)
@@ -388,15 +389,13 @@ def unroll_with_provenance(m: DspnModel, T: int) -> tuple[SpnGraph, list[tuple]]
     n = m.n_vars
     builder = GraphBuilder(n * T, m.arities * T, 0)
     prov: list[tuple] = []
-    local = _copy_into(builder, m.bottom.graph, 0, {}, prov, ("bottom", 0))
+    local = _copy_into(builder, m.bottom.graph, 0, [], prov, ("bottom", 0))
     lower_roots = [local[r] for r in m.bottom.graph.roots]
     for t in range(1, T):
-        input_map = {s: lower_roots[m.f_map[s]] for s in range(m.k)}
-        local = _copy_into(builder, m.template.graph, t * n, input_map,
+        local = _copy_into(builder, m.template.graph, t * n, lower_roots,
                            prov, ("template", t))
         lower_roots = [local[r] for r in m.template.graph.roots]
-    input_map = {s: lower_roots[m.f_map[s]] for s in range(m.k)}
-    local = _copy_into(builder, m.top.graph, 0, input_map, prov, ("top", T))
+    local = _copy_into(builder, m.top.graph, 0, lower_roots, prov, ("top", T))
     graph = builder.build([local[m.top.graph.roots[0]]])
     return graph, prov
 
@@ -473,23 +472,21 @@ def rolling_forward(m: DspnModel, batch: SequenceBatch,
     slices 1, 2, ... side by side, so all slices can be read as one block.
 
     The interface state after each layer is the vector of that layer's root
-    values, read through the slot-to-root bijection.  A row's final state is
-    stored once, when its sequence ends, for the top network to read."""
-    f = m.f_map
+    values, in slot order.  A row's final state is stored once, when its
+    sequence ends, for the top network to read."""
     rows = len(batch.order)
     starts = batch.starts.tolist()
     bottom_vals = forward(m.bottom.graph, batch.slices[:rows])
-    state = bottom_vals[[m.bottom.graph.roots[f[s]] for s in range(m.k)]]
+    state = bottom_vals[m.bottom.graph.roots]
     final = np.empty_like(state)
     template_vals = np.empty((len(m.template.graph), starts[-1] - rows)) \
         if keep_values else None
-    t_root_rows = [m.template.graph.roots[f[s]] for s in range(m.k)]
     for lo, hi in zip(starts[1:-1], starts[2:]):
         if hi - lo < state.shape[1]:
             final[:, hi - lo:state.shape[1]] = state[:, hi - lo:]
             state = state[:, :hi - lo]
         vals = forward(m.template.graph, batch.slices[lo:hi], state)
-        state = vals[t_root_rows]
+        state = vals[m.template.graph.roots]
         if keep_values:
             template_vals[:, lo - rows:hi - rows] = vals
     final[:, :state.shape[1]] = state
@@ -502,31 +499,29 @@ def rolling_forward(m: DspnModel, batch: SequenceBatch,
 
 def _transfer_loglik(m: DspnModel, slices: np.ndarray) -> float:
     """Log-likelihood of one sequence as a chain of k x k transfer matrices,
-    for a template and top linear in their interface inputs.
+    for a template linear in its interface inputs.
 
     Slice t maps the interface state by a log-matrix M_t: M_t[i, j] is the
-    value of root f_map[i] under the log-basis input that is 0 on slot j
-    and -inf elsewhere, and the next state is logsumexp_j(M_t[i, j] +
-    state[j]).  One template forward over a block of slices, each repeated
-    k times against the basis, gives every M_t of the block; blocks hold at
-    most ``_STACKED_NODE_ROWS`` node-rows, so memory does not grow with
-    the length.  The chain then runs one log-sum-exp step per slice, in
-    order, and the top root under the basis closes it."""
-    k, f = m.k, m.f_map
+    value of root i under the log-basis input that is 0 on slot j and -inf
+    elsewhere, and the next state is logsumexp_j(M_t[i, j] + state[j]).
+    One template forward over a block of slices, each repeated k times
+    against the basis, gives every M_t of the block; blocks hold at most
+    ``_STACKED_NODE_ROWS`` node-rows, so memory does not grow with the
+    length.  The chain then runs one log-sum-exp step per slice, in order,
+    and the top network's forward on the final state closes it."""
+    k = m.k
     tmpl = m.template.graph
     basis = np.where(np.eye(k, dtype=bool), 0.0, LOG_ZERO)
-    state = forward(m.bottom.graph, slices[:1])[
-        [m.bottom.graph.roots[f[s]] for s in range(k)], 0]
-    roots = [tmpl.roots[f[s]] for s in range(k)]
+    state = forward(m.bottom.graph, slices[:1])[m.bottom.graph.roots, 0]
     span = _stacked_span(len(tmpl), k)
     with np.errstate(divide="ignore"):
         for lo in range(1, len(slices), span):
             block = slices[lo:lo + span]
             vals = forward(tmpl, np.repeat(block, k, axis=0), np.tile(basis, len(block)))
-            for mat in vals[roots].reshape(k, len(block), k).transpose(1, 0, 2):
+            for mat in vals[tmpl.roots].reshape(k, len(block), k).transpose(1, 0, 2):
                 state = _logsumexp_rows(mat + state)
-        top = forward(m.top.graph, np.full((k, m.top.graph.n_vars), -1), basis)
-        return float(_logsumexp_rows(top[m.top.graph.roots[0]] + state[None])[0])
+    top = forward(m.top.graph, np.full((1, m.top.graph.n_vars), -1), state[:, None])
+    return float(top[m.top.graph.roots[0], 0])
 
 
 def sequence_loglik(m: DspnModel, seq) -> float:
@@ -537,12 +532,11 @@ def sequence_loglik(m: DspnModel, seq) -> float:
 
 def dataset_logliks(m: DspnModel, sequences) -> np.ndarray:
     """Per-sequence log-likelihoods in input order.  One sequence under a
-    template and top linear in their inputs is a chain of transfer
-    matrices (:func:`_transfer_loglik`); any other batch is one rolling
-    pass over all sequences packed into one batch."""
+    template linear in its inputs is a chain of transfer matrices
+    (:func:`_transfer_loglik`); any other batch is one rolling pass over
+    all sequences packed into one batch."""
     sequences = list(sequences)
-    if len(sequences) == 1 and m.template.graph.compiled().inputs_linear \
-            and m.top.graph.compiled().inputs_linear:
+    if len(sequences) == 1 and m.template.graph.compiled().inputs_linear:
         return np.array([_transfer_loglik(m, _as_slices(sequences[0], m.n_vars))])
     batch = pack_sequences(sequences, m.n_vars)
     loglik, _ = rolling_forward(m, batch)
@@ -591,12 +585,11 @@ def sample(m: DspnModel, T: int, rng: np.random.Generator | None = None) -> np.n
     for t in range(T - 1, 0, -1):
         below: set[int] = set()
         for s in sorted(demanded):
-            _draw_from(m.template.graph, m.template.graph.roots[m.f_map[s]],
-                       rng, out[t], below)
+            _draw_from(m.template.graph, m.template.graph.roots[s], rng,
+                       out[t], below)
         demanded = below
     for s in sorted(demanded):
-        _draw_from(m.bottom.graph, m.bottom.graph.roots[m.f_map[s]], rng,
-                   out[0], set())
+        _draw_from(m.bottom.graph, m.bottom.graph.roots[s], rng, out[0], set())
     if (out == -1).any():
         raise GraphError("sampling left variables unassigned; "
                          "the model is not complete")

@@ -170,6 +170,8 @@ class SpnGraph:
                 if nd.weights is None or len(nd.weights) != len(nd.children):
                     raise GraphError(f"sum {i}: weights do not match children")
                 w = np.asarray(nd.weights, dtype=float)
+                if not np.isfinite(w).all():
+                    raise GraphError(f"sum {i}: non-finite weight")
                 if (w < 0).any():
                     raise GraphError(f"sum {i}: negative weight")
                 if abs(w.sum() - 1.0) > WEIGHT_TOL:
@@ -263,17 +265,6 @@ class SpnGraph:
 
     def input_ids(self) -> list[int]:
         return [i for i, nd in enumerate(self.nodes) if nd.kind == NodeKind.INPUT]
-
-    def descendants(self, i: int) -> set[int]:
-        seen: set[int] = set()
-        stack = [i]
-        while stack:
-            j = stack.pop()
-            if j in seen:
-                continue
-            seen.add(j)
-            stack.extend(self.nodes[j].children)
-        return seen
 
     # -- serialization --------------------------------------------------------
 

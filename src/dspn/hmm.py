@@ -39,14 +39,15 @@ class DiscreteHmm:
         self._check_stochastic()
 
     def _check_stochastic(self):
-        if (self.initial < 0).any() or abs(self.initial.sum() - 1) > PROB_TOL:
+        def stochastic(p):  # stated positively, so NaN and inf fail it
+            return (p >= 0).all() and np.abs(p.sum(axis=-1) - 1).max() <= PROB_TOL
+
+        if not stochastic(self.initial):
             raise ValueError("initial distribution is not stochastic")
-        if (self.transition < 0).any() or \
-                np.abs(self.transition.sum(axis=1) - 1).max() > PROB_TOL:
+        if not stochastic(self.transition):
             raise ValueError("transition matrix is not row-stochastic")
         for v, a in enumerate(self.arities):
-            em = self.emissions[:, v, :a]
-            if (em < 0).any() or np.abs(em.sum(axis=1) - 1).max() > PROB_TOL:
+            if not stochastic(self.emissions[:, v, :a]):
                 raise ValueError(f"emission rows for variable {v} are not stochastic")
 
     @property

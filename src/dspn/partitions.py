@@ -64,23 +64,9 @@ def encode_rgs(p: Partition) -> tuple[int, ...]:
     return tuple(label_of[e] for e in ground)
 
 
-def _advance(rgs: list[int]) -> bool:
-    """In-place lexicographic successor; False when already at the last RGS."""
-    m = len(rgs)
-    prefix_max = [0] * m
-    for i in range(1, m):
-        prefix_max[i] = max(prefix_max[i - 1], rgs[i - 1])
-    for i in range(m - 1, 0, -1):
-        if rgs[i] <= prefix_max[i]:
-            rgs[i] += 1
-            for j in range(i + 1, m):
-                rgs[j] = 0
-            return True
-    return False
-
-
 class RgsCursor:
-    """Stateful lexicographic enumerator of the partitions of one ground set.
+    """Stateful lexicographic enumerator of the partitions of one ground set:
+    a rank stepped through :func:`unrank_partition`.
 
     The first call to :meth:`next_partition` yields the all-in-one-block
     partition (RGS 00...0); after the all-singletons partition it returns
@@ -91,22 +77,17 @@ class RgsCursor:
         self.ground_set = tuple(sorted(ground_set))
         if not self.ground_set:
             raise ValueError("ground set must be non-empty")
-        self.rgs: list[int] | None = None  # None = before the first partition
-        self._exhausted = False
+        self.total = bell_number(len(self.ground_set))
+        self.rank = 0  # of the next partition to yield
 
     def next_partition(self) -> Partition | None:
-        if self._exhausted:
+        if self.rank == self.total:
             return None
-        if self.rgs is None:
-            self.rgs = [0] * len(self.ground_set)
-        elif not _advance(self.rgs):
-            self._exhausted = True
-            return None
-        return decode_rgs(self.rgs, self.ground_set)
+        self.rank += 1
+        return unrank_partition(self.rank - 1, self.ground_set)
 
     def reset(self) -> None:
-        self.rgs = None
-        self._exhausted = False
+        self.rank = 0
 
 
 def _rgs_completion_counts(m: int) -> np.ndarray:

@@ -11,17 +11,21 @@ invariant and every model stacks validly at any length.
 
 from __future__ import annotations
 
+import itertools
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
-from .dynamic import (BottomNetwork, DspnModel, TemplateNetwork, TopNetwork,
+from .dynamic import (DspnModel, ScopeAssignment, TemplateNetwork, TopNetwork,
                       dataset_logliks, derive_bottom)
-from .graph import GraphBuilder, NodeKind, SpnGraph
+from .graph import GraphBuilder, NodeKind, compute_scopes
 from .partitions import (INTERFACE_ELEMENT, CursorStore, IndependenceOracle,
                          Partition, get_partition)
 from .training import TrainConfig, train as train_weights
+
+NB_COMPONENTS = 2  # mixture components per multi-variable block
 
 
 class DegenerateData(ValueError):
@@ -37,12 +41,7 @@ class SearchConfig:
     em_iters: int = 10           # parameter-training iterations per candidate
     validation_fraction: float = 0.15
     seed: int = 0
-    nb_components: int = 2       # mixture components per multi-variable block
-    significance: float = 0.05
-    min_samples: int = 20
-    train_method: str = "em"
     laplace_alpha: float = 0.1
-    learning_rate: float = 0.5
     init_jitter: float = 0.1     # relative weight perturbation for new components
 
     def __post_init__(self):
@@ -52,8 +51,7 @@ class SearchConfig:
             raise ValueError("patience must be at least 1")
 
     def train_config(self) -> TrainConfig:
-        return TrainConfig(method=self.train_method, iterations=self.em_iters,
-                           learning_rate=self.learning_rate,
+        return TrainConfig(iterations=self.em_iters,
                            laplace_alpha=self.laplace_alpha)
 
 
@@ -77,16 +75,13 @@ class IterationRecord:
 
 @dataclass
 class SearchState:
-    current: DspnModel
-    best: DspnModel
+    best: DspnModel              # the model every move starts from
     best_score: float
     cursors: CursorStore
     rng: np.random.Generator
     oracle: IndependenceOracle | None
     uids: list[int]              # persistent product-site identities, per node
-    uid_counter: int
-    iteration: int = 0
-    patience_counter: int = 0
+    fresh_uids: Iterator[int]    # identities no site has had yet
 
 
 def _jittered(base: np.ndarray, rng: np.random.Generator, jitter: float) -> np.ndarray:
@@ -184,21 +179,12 @@ def initial_structure(train, validation, n_vars: int, arities,
 # ---------------------------------------------------------------------------
 
 def effective_scope(template: TemplateNetwork, node: int) -> tuple[int, ...]:
-    """Variables reachable below ``node``, with one pseudo-element standing
-    in for any reachable interface input."""
-    g = template.graph
-    vars_seen: set[int] = set()
-    saw_input = False
-    for d in g.descendants(node):
-        nd = g.nodes[d]
-        if nd.kind == NodeKind.INDICATOR:
-            vars_seen.add(nd.var)
-        elif nd.kind == NodeKind.INPUT:
-            saw_input = True
-    scope = sorted(vars_seen)
-    if saw_input:
-        scope.insert(0, INTERFACE_ELEMENT)
-    return tuple(scope)
+    """Variables in the scope of ``node``, led by one pseudo-element standing
+    in for any interface input below it."""
+    inputs = ScopeAssignment.single_class(template.k).input_scopes()
+    scope = compute_scopes(template.graph, inputs)[node]
+    head = (INTERFACE_ELEMENT,) if scope.atoms_mask else ()
+    return head + tuple(scope.vars())
 
 
 def _block_model(b: GraphBuilder, block, arities, k: int,
@@ -219,7 +205,7 @@ def _block_model(b: GraphBuilder, block, arities, k: int,
     if len(block) == 1:
         return factor(block[0])
     components = [b.product([factor(e) for e in block])
-                  for _ in range(cfg.nb_components)]
+                  for _ in range(NB_COMPONENTS)]
     return b.sum(components, _jittered(np.full(len(components),
                                                1.0 / len(components)),
                                        rng, cfg.init_jitter))
@@ -227,16 +213,16 @@ def _block_model(b: GraphBuilder, block, arities, k: int,
 
 def replace_product(template: TemplateNetwork, uids: list[int], target: int,
                     partition: Partition, rng: np.random.Generator,
-                    cfg: SearchConfig, uid_counter: int) \
-        -> tuple[TemplateNetwork, list[int], int]:
+                    cfg: SearchConfig, fresh_uids: Iterator[int]) \
+        -> tuple[TemplateNetwork, list[int]]:
     """Rebuild the template with the sub-circuit at ``target`` replaced by a
     product of per-block models; nodes that become unreachable disappear.
-    Surviving nodes keep their persistent identities."""
+    Surviving nodes keep their persistent identities; the new ones draw
+    theirs from ``fresh_uids``."""
     g = template.graph
     arities = g.arities
     b = GraphBuilder(g.n_vars, arities, template.k)
     new_uids: dict[int, int] = {}
-    next_uid = uid_counter
 
     def claim(new_id: int, uid: int) -> int:
         new_uids[new_id] = uid
@@ -245,7 +231,6 @@ def replace_product(template: TemplateNetwork, uids: list[int], target: int,
     memo: dict[int, int] = {}
 
     def emit(i: int) -> int:
-        nonlocal next_uid
         if i in memo:
             return memo[i]
         nd = g.nodes[i]
@@ -258,8 +243,7 @@ def replace_product(template: TemplateNetwork, uids: list[int], target: int,
             new = claim(b.product(blocks), uids[i])
             for fresh in range(before, len(b.nodes)):
                 if fresh not in new_uids:
-                    new_uids[fresh] = next_uid
-                    next_uid += 1
+                    new_uids[fresh] = next(fresh_uids)
         elif nd.kind == NodeKind.INDICATOR:
             new = claim(b.indicator(nd.var, nd.value), uids[i])
         elif nd.kind == NodeKind.INPUT:
@@ -273,27 +257,24 @@ def replace_product(template: TemplateNetwork, uids: list[int], target: int,
         return new
 
     roots = [emit(r) for r in g.roots]
-    new_template = TemplateNetwork(b.build(roots), template.f_map)
-    uid_list = [new_uids[i] for i in range(len(b.nodes))]
-    return new_template, uid_list, next_uid
+    new_template = TemplateNetwork(b.build(roots))
+    return new_template, [new_uids[i] for i in range(len(b.nodes))]
 
 
 def generate_neighbour(state: SearchState, cfg: SearchConfig) \
-        -> tuple[DspnModel, list[int], int]:
+        -> tuple[DspnModel, list[int]]:
     """Sample a product node uniformly, draw the next partition of its
     effective scope, and swap in the corresponding product of naive Bayes
     blocks."""
-    template = state.current.template
+    template = state.best.template
     products = template.graph.product_ids()
     target = products[int(state.rng.integers(len(products)))]
     scope = effective_scope(template, target)
     partition = get_partition(scope, state.cursors, state.oracle, cfg.threshold,
                               state.rng, key=(state.uids[target], scope))
-    new_template, uids, uid_counter = replace_product(
-        template, state.uids, target, partition, state.rng, cfg, state.uid_counter)
-    top = TopNetwork(state.current.top.graph.copy())
-    candidate = DspnModel(derive_bottom(new_template), new_template, top)
-    return candidate, uids, uid_counter
+    new_template, uids = replace_product(
+        template, state.uids, target, partition, state.rng, cfg, state.fresh_uids)
+    return _assemble(new_template, TopNetwork(state.best.top.graph.copy())), uids
 
 
 # ---------------------------------------------------------------------------
@@ -307,46 +288,39 @@ def search(train_set, validation_set, cfg: SearchConfig,
     non-improving candidates or ``max_iters`` iterations and returns the
     best model seen (anytime contract) plus the per-iteration trace."""
     rng = np.random.default_rng(cfg.seed)
-    oracle = IndependenceOracle.from_dataset(train_set, cfg.significance,
-                                             cfg.min_samples)
+    oracle = IndependenceOracle.from_dataset(train_set)
     tcfg = cfg.train_config()
     t0 = time.perf_counter()
     model = initial_structure(train_set, validation_set,
                               train_set.n_vars, train_set.arities, cfg, rng)
     best_score = float(dataset_logliks(model, validation_set.sequences).sum())
     state = SearchState(
-        current=model, best=model, best_score=best_score,
-        cursors=CursorStore(), rng=rng, oracle=oracle,
-        uids=list(range(len(model.template.graph))),
-        uid_counter=len(model.template.graph))
+        best=model, best_score=best_score, cursors=CursorStore(), rng=rng,
+        oracle=oracle, uids=list(range(len(model.template.graph))),
+        fresh_uids=itertools.count(len(model.template.graph)))
     train_ll = float(dataset_logliks(model, train_set.sequences).sum())
     trace = [IterationRecord(0, True, len(model.template.graph), model.k,
                              train_ll, best_score, time.perf_counter() - t0)]
     if callback:
         callback(0, model, True, best_score)
+    stale = 0  # consecutive non-improving candidates
     for it in range(1, cfg.max_iters + 1):
         t0 = time.perf_counter()
-        state.iteration = it
-        candidate, uids, uid_counter = generate_neighbour(state, cfg)
+        candidate, uids = generate_neighbour(state, cfg)
         candidate = train_weights(candidate, train_set.sequences, tcfg)
         score = float(dataset_logliks(candidate, validation_set.sequences).sum())
         accepted = score > state.best_score
         if accepted:
-            state.current = candidate
-            state.best = candidate
-            state.best_score = score
-            state.uids = uids
-            state.uid_counter = uid_counter
-            state.patience_counter = 0
+            state.best, state.best_score, state.uids = candidate, score, uids
+            stale = 0
         else:
-            state.uid_counter = uid_counter
-            state.patience_counter += 1
+            stale += 1
         cand_train_ll = float(dataset_logliks(candidate, train_set.sequences).sum())
         trace.append(IterationRecord(
             it, accepted, len(candidate.template.graph), candidate.k,
             cand_train_ll, score, time.perf_counter() - t0))
         if callback:
             callback(it, candidate, accepted, score)
-        if state.patience_counter >= cfg.patience:
+        if stale >= cfg.patience:
             break
     return state.best, trace

@@ -62,14 +62,12 @@ def _accumulate(acc: dict[int, np.ndarray], stats: dict[int, np.ndarray]) -> Non
             acc[node] = counts.copy()
 
 
-def _seed_rows(graph_above: SpnGraph, f_map) -> np.ndarray:
+def _seed_rows(graph_above: SpnGraph) -> np.ndarray:
     """Rows of the layer above's derivatives that seed the roots below: the
-    derivative at slot s above is the derivative of the merged root
-    f_map[s] below."""
+    derivative at slot s above is the derivative of the merged root s
+    below."""
     c = graph_above.compiled()
-    rows = np.empty(len(f_map), dtype=np.int64)
-    rows[np.asarray(f_map)[c.input_slot]] = c.input_ids
-    return rows
+    return c.input_ids[np.argsort(c.input_slot)]
 
 
 def collect_statistics(m: DspnModel, sequences) -> TiedStatistics:
@@ -86,7 +84,7 @@ def collect_statistics(m: DspnModel, sequences) -> TiedStatistics:
     data."""
     acc = TiedStatistics()
     top_g, tmpl_g, bot_g = m.top.graph, m.template.graph, m.bottom.graph
-    from_top, from_tmpl = _seed_rows(top_g, m.f_map), _seed_rows(tmpl_g, m.f_map)
+    from_top, from_tmpl = _seed_rows(top_g), _seed_rows(tmpl_g)
     batch = pack_sequences(sequences, m.n_vars)
     loglik, kept = rolling_forward(m, batch, keep_values=True)
     if np.isneginf(loglik).any():

@@ -401,3 +401,67 @@ def test_conditional_values_outside_model_arities_fail(workdir, capsys, flag,
     code, out, err = run_cli(capsys, "infer", mpath, dpath, flag, value, *other)
     assert code == 1 and out == ""
     assert f"sequence 0, {where} out of range" in err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("command", ["infer", "validate"])
+def test_non_finite_weights_are_refused(workdir, capsys, command, value):
+    from dspn.data import SequenceDataset
+    doc = small_model(seed=12).to_dict()
+    weights = next(nd for nd in doc["template"]["nodes"]
+                   if nd["kind"] == "sum")["weights"]
+    weights[0] = float(value)
+    mpath = workdir / "bad.dspn"
+    mpath.write_text(json.dumps(doc))
+    dpath = workdir / "d.seqs"
+    save_dataset(SequenceDataset([np.array([[0], [1]])], (2,)), dpath)
+    argv = (command, mpath, dpath) if command == "infer" else (command, mpath)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert "non-finite weight" in err
+
+
+@pytest.mark.parametrize("flag", ["--query", "--given"])
+def test_conditional_values_must_be_non_negative(workdir, capsys, flag):
+    # -1 marks a missing value, so as a query or condition it would ask nothing
+    from dspn.data import SequenceDataset
+    mpath = workdir / "m.dspn"
+    save_model(small_model(seed=13), mpath)
+    dpath = workdir / "free.seqs"
+    save_dataset(SequenceDataset([np.full((3, 1), -1)], (2,)), dpath)
+    other = {"--query": ("--given", "2=1"), "--given": ("--query", "2=1")}[flag]
+    code, out, err = run_cli(capsys, "infer", mpath, dpath, flag, "0=-1", *other)
+    assert code == 1 and out == ""
+    assert f"error: {flag} 0=-1" in err
+
+
+@pytest.mark.parametrize("block, key", [("search", "nb_components"),
+                                        ("train", "momentum")])
+def test_bench_rejects_unknown_config_keys(workdir, capsys, block, key):
+    config = {"generator": {"states": 2, "vars": 1, "length": 5, "count": 10},
+              "folds": 2, block: {key: 2}}
+    cpath = workdir / "bench.json"
+    cpath.write_text(json.dumps(config))
+    code, out, err = run_cli(capsys, "bench", cpath)
+    assert code == 1 and out == ""
+    assert err.startswith("error:")
+    assert repr(key) in err and repr(block) in err
+
+
+@pytest.mark.parametrize("breakage", ["f_map", "bottom"])
+def test_infer_refuses_mismatched_interface(workdir, capsys, breakage):
+    # a slot-to-root map that is not a bijection, or a bottom network with
+    # fewer roots than the template, is a malformed document
+    from dspn.data import SequenceDataset
+    doc = small_model(seed=14, k=3).to_dict()
+    if breakage == "f_map":
+        doc["f_map"] = [0, 0, 1]
+    else:
+        doc["bottom"]["roots"] = doc["bottom"]["roots"][:2]
+    mpath = workdir / "bad.dspn"
+    mpath.write_text(json.dumps(doc))
+    dpath = workdir / "d.seqs"
+    save_dataset(SequenceDataset([np.array([[0], [1]])], (2,)), dpath)
+    code, out, err = run_cli(capsys, "infer", mpath, dpath)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err

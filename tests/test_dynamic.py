@@ -9,14 +9,14 @@ from dspn.dynamic import (BottomNetwork, DegenerateTemplate, DspnModel,
                           derive_bottom, sample,
                           sequence_loglik, unroll, unroll_with_provenance,
                           verify_model_validity)
-from dspn.graph import (GraphBuilder, NodeKind, Scope, check_validity,
-                        compute_scopes)
+from dspn.graph import (GraphBuilder, GraphError, NodeKind, Scope,
+                        check_validity, compute_scopes)
 from dspn.hmm import (hmm_dataset_loglik, hmm_loglik, hmm_sample,
                       hmm_to_model, random_hmm)
 from dspn.inference import Evidence, conditional_query, log_likelihood
 from dspn.structure import build_initial_template, build_top
 from dspn.training import collect_statistics
-from helpers import random_invariant_model
+from helpers import random_invariant_model, reachable_leaf_scope
 
 
 def initial_model(n=3, k=2, seed=0):
@@ -174,11 +174,9 @@ def test_derive_bottom_node_count_matches_reachability():
         m = random_invariant_model(int(rng.integers(1, 5)),
                                    int(rng.integers(1, 5)), rng)
         g = m.template.graph
-        no_ind = 0
-        for i in range(len(g)):
-            vars_reach = any(g.nodes[d].kind == NodeKind.INDICATOR
-                             for d in g.descendants(i))
-            no_ind += not vars_reach
+        inputs = {s: Scope.of_atom(s) for s in range(m.k)}
+        no_ind = sum(not reachable_leaf_scope(g, i, inputs)[0]
+                     for i in range(len(g)))
         assert len(m.bottom.graph) == len(g) - no_ind
 
 
@@ -292,28 +290,57 @@ def test_hand_built_hmm_matches_forward_oracle():
             hmm_loglik(h, seq), abs=1e-9)
 
 
+def _permuted_document(m, perm):
+    """``m``'s document with the bottom and template roots listed in the
+    order ``perm``, and the slot-to-root map saying where each slot's root
+    went."""
+    doc = json.loads(json.dumps(m.to_dict()))
+    for part in ("bottom", "template"):
+        roots = doc[part]["roots"]
+        doc[part]["roots"] = [roots[p] for p in perm]
+    doc["f_map"] = [perm.index(s) for s in range(len(perm))]
+    return doc
+
+
 def test_permuted_interface_bijection_round_trips():
-    # a non-identity slot-to-root map must still evaluate correctly
+    # a document with a non-identity slot-to-root map loads into slot
+    # order: it scores like the forward recursion and is written back as
+    # the original document, with the identity map
     rng = np.random.default_rng(17)
     h = random_hmm(3, (2,), rng)
     m = hmm_to_model(h)
-    g = m.template.graph
-    perm = [2, 0, 1]
-    # list the roots in permuted order; the bijection records where each
-    # slot's continuation root went
-    new_roots = [g.roots[perm[j]] for j in range(3)]
-    f_map = [new_roots.index(g.roots[s]) for s in range(3)]
-    t2 = TemplateNetwork(
-        type(g)(g.nodes, new_roots, g.n_vars, g.arities, g.n_interface_inputs),
-        f_map=f_map)
-    b2 = BottomNetwork(type(g)(m.bottom.graph.nodes,
-                               [m.bottom.graph.roots[perm[j]] for j in range(3)],
-                               g.n_vars, g.arities, 0))
-    m2 = DspnModel(b2, t2, m.top)
-    for _ in range(20):
-        seq = hmm_sample(h, int(rng.integers(1, 12)), rng)
+    doc = _permuted_document(m, [2, 0, 1])
+    assert doc["f_map"] == [1, 2, 0]
+    m2 = DspnModel.from_dict(doc)
+    ignored = DspnModel.from_dict(dict(doc, f_map=[0, 1, 2]))
+    seqs = [hmm_sample(h, int(rng.integers(1, 12)), rng) for _ in range(20)]
+    for seq in seqs:
         assert sequence_loglik(m2, seq) == pytest.approx(
             hmm_loglik(h, seq), abs=1e-9)
+    # the map matters: read as the identity, the same roots score otherwise
+    assert max(abs(sequence_loglik(ignored, s) - hmm_loglik(h, s))
+               for s in seqs) > 1e-6
+    assert m2.to_dict() == m.to_dict()
+    assert m2.to_dict()["f_map"] == [0, 1, 2]
+
+
+@pytest.mark.parametrize("breakage", ["repeated slot", "short map",
+                                      "out of range", "not integers",
+                                      "short bottom"])
+def test_model_document_interface_mismatch_raises(breakage):
+    doc = _permuted_document(initial_model(n=2, k=3, seed=24), [1, 2, 0])
+    if breakage == "repeated slot":
+        doc["f_map"] = [0, 0, 1]
+    elif breakage == "short map":
+        doc["f_map"] = [1, 0]
+    elif breakage == "out of range":
+        doc["f_map"] = [1, 2, 3]
+    elif breakage == "not integers":
+        doc["f_map"] = [1.0, 2, 0]
+    else:
+        doc["bottom"]["roots"] = doc["bottom"]["roots"][:2]
+    with pytest.raises(GraphError):
+        DspnModel.from_dict(doc)
 
 
 def test_dataset_logliks_groups_by_length():

@@ -1,8 +1,10 @@
 import itertools
+import json
 
 import numpy as np
 import pytest
 
+from dspn.data import load_hmm
 from dspn.dynamic import sequence_loglik
 from dspn.hmm import (DiscreteHmm, baum_welch, hmm_dataset,
                       hmm_dataset_loglik, hmm_loglik, hmm_sample,
@@ -215,3 +217,23 @@ def test_serialization_round_trip():
     np.testing.assert_array_equal(h.emissions, h2.emissions)
     seq = hmm_sample(h, 12, rng)
     assert hmm_loglik(h2, seq) == hmm_loglik(h, seq)
+
+
+@pytest.mark.parametrize("table, row, match", [
+    ("initial", None, "initial"),
+    ("transition", 1, "transition"),
+    ("emissions", 0, "emission"),
+])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_tables_are_refused(tmp_path, table, row, match, value):
+    # NaN passes "no negative entry" and "sums to 1 within tolerance" when
+    # those are asked as negatives, so the check must refuse it outright
+    doc = random_hmm(2, (2,), np.random.default_rng(31)).to_dict()
+    target = doc[table] if row is None else doc[table][row]
+    if table == "emissions":
+        target = target[0]
+    target[0] = float(value)
+    path = tmp_path / "bad.hmm"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=match):
+        load_hmm(path)
