@@ -19,6 +19,7 @@ rolling evaluation is exact and linear in sequence length.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+
 import numpy as np
 
 from .graph import (GraphBuilder, GraphError, Node, NodeKind, Scope, SpnGraph,
